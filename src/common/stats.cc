@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -10,19 +11,33 @@ namespace cuttlesys {
 
 namespace {
 
+/** Interpolation points of the type-7 rule, rank = p/100 * (n-1). */
+struct Rank
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+};
+
+Rank
+rankOf(std::size_t n, double p)
+{
+    CS_ASSERT(n > 0, "percentile of empty sample");
+    CS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    return {lo, hi, rank - static_cast<double>(lo)};
+}
+
 /** Percentile of an already-sorted sample. */
 double
 sortedPercentile(std::span<const double> sorted, double p)
 {
-    CS_ASSERT(!sorted.empty(), "percentile of empty sample");
-    CS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
+    const Rank r = rankOf(sorted.size(), p);
     if (sorted.size() == 1)
         return sorted.front();
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    return sorted[r.lo] + r.frac * (sorted[r.hi] - sorted[r.lo]);
 }
 
 } // namespace
@@ -58,6 +73,23 @@ percentile(std::span<const double> values, double p,
     scratch.assign(values.begin(), values.end());
     std::sort(scratch.begin(), scratch.end());
     return sortedPercentile(scratch, p);
+}
+
+double
+percentileInPlace(std::span<double> values, double p)
+{
+    const Rank r = rankOf(values.size(), p);
+    if (values.size() == 1)
+        return values.front();
+    // nth_element puts sorted[hi] in place with everything smaller in
+    // front of it, so sorted[lo] (lo is hi or hi - 1) is the largest
+    // of that prefix: the same two operands sortedPercentile reads.
+    const auto hi = values.begin() + static_cast<std::ptrdiff_t>(r.hi);
+    std::nth_element(values.begin(), hi, values.end());
+    const double v_hi = *hi;
+    const double v_lo =
+        r.lo == r.hi ? v_hi : *std::max_element(values.begin(), hi);
+    return v_lo + r.frac * (v_hi - v_lo);
 }
 
 double

@@ -57,6 +57,15 @@ double percentile(std::span<const double> values, double p);
 double percentile(std::span<const double> values, double p,
                   std::vector<double> &scratch);
 
+/**
+ * Same percentile in O(n), selecting in place instead of sorting a
+ * copy: @p values is left reordered. Bitwise identical to the other
+ * overloads, because it reads the same two order statistics and
+ * interpolates them with the same arithmetic. For one-shot windows
+ * that are discarded after their tail is read.
+ */
+double percentileInPlace(std::span<double> values, double p);
+
 /** Arithmetic mean. @pre values is non-empty. */
 double mean(std::span<const double> values);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "config/job_config.hh"
 #include "lcsim/queue_sim.hh"
 #include "model/core_model.hh"
@@ -18,38 +19,46 @@ referenceConfig()
     return JobConfig(CoreConfig::widest(), kNumCacheAllocs - 1);
 }
 
-} // namespace
-
+/**
+ * Service capacity of @p app on the reference system: requests/s the
+ * pool can complete flat out. The knee search brackets its load.
+ */
 double
-measureTailAtLoad(const AppProfile &app, double qps,
-                  const SystemParams &params, const MaxQpsOptions &opts)
+capacityQps(const AppProfile &app, const SystemParams &params,
+            const MaxQpsOptions &opts)
+{
+    CS_ASSERT(app.isLatencyCritical(),
+              "calibration is only meaningful for LC apps");
+    return static_cast<double>(opts.referenceCores) *
+        coreIps(app, referenceConfig(), params) /
+        app.requestInstructions();
+}
+
+/** Bisection bracket, as fractions of capacityQps(). */
+constexpr double kLowFraction = 0.05;
+constexpr double kHighFraction = 1.2;
+
+/** measureTailAtLoad() on a caller-owned simulator. */
+double
+tailAtLoad(LcQueueSim &sim, const AppProfile &app, double qps,
+           const SystemParams &params, const MaxQpsOptions &opts)
 {
     CS_ASSERT(app.isLatencyCritical(),
               "calibration is only meaningful for LC apps");
     const double ips = coreIps(app, referenceConfig(), params);
-    LcQueueSim sim(app, opts.referenceCores, ips, opts.seed);
-    sim.setLoadQps(qps);
-    sim.run(opts.warmupSec);
-    sim.clearWindow();
-    sim.run(opts.measureSec);
-    if (sim.completedInWindow() == 0)
-        return 0.0;
-    return sim.tailLatency(99.0);
+    return oneShotTail(sim, app, opts.referenceCores, ips, opts.seed,
+                       qps, opts.warmupSec, opts.measureSec, 0.0);
 }
 
+/** findMaxQps() on a caller-owned simulator. */
 double
-findMaxQps(const AppProfile &app, const SystemParams &params,
-           const MaxQpsOptions &opts)
+kneeSearch(LcQueueSim &sim, const AppProfile &app,
+           const SystemParams &params, const MaxQpsOptions &opts)
 {
-    const double ips = coreIps(app, referenceConfig(), params);
-    // Service capacity: requests/s the pool can complete flat out.
-    const double capacity = static_cast<double>(opts.referenceCores) *
-        ips / app.requestInstructions();
-
-    double lo = capacity * 0.05;
-    double hi = capacity * 1.2;
-    const double unloaded_p99 =
-        measureTailAtLoad(app, lo, params, opts);
+    const double capacity = capacityQps(app, params, opts);
+    double lo = capacity * kLowFraction;
+    double hi = capacity * kHighFraction;
+    const double unloaded_p99 = tailAtLoad(sim, app, lo, params, opts);
     CS_ASSERT(unloaded_p99 <= app.qosSeconds(),
               app.name, " violates QoS even at 5% capacity; the "
               "profile's qosMs is unachievable");
@@ -58,7 +67,7 @@ findMaxQps(const AppProfile &app, const SystemParams &params,
 
     for (std::size_t i = 0; i < opts.iterations; ++i) {
         const double mid = 0.5 * (lo + hi);
-        const double p99 = measureTailAtLoad(app, mid, params, opts);
+        const double p99 = tailAtLoad(sim, app, mid, params, opts);
         if (p99 <= bar)
             lo = mid;
         else
@@ -67,16 +76,53 @@ findMaxQps(const AppProfile &app, const SystemParams &params,
     return lo;
 }
 
+} // namespace
+
+double
+measureTailAtLoad(const AppProfile &app, double qps,
+                  const SystemParams &params, const MaxQpsOptions &opts)
+{
+    auto sims = oneShotSims(1, app, opts.referenceCores, qps,
+                            opts.warmupSec + opts.measureSec);
+    return tailAtLoad(sims[0], app, qps, params, opts);
+}
+
+double
+findMaxQps(const AppProfile &app, const SystemParams &params,
+           const MaxQpsOptions &opts)
+{
+    auto sims = oneShotSims(
+        1, app, opts.referenceCores,
+        kHighFraction * capacityQps(app, params, opts),
+        opts.warmupSec + opts.measureSec);
+    return kneeSearch(sims[0], app, params, opts);
+}
+
 std::vector<double>
 calibrateMaxQps(std::vector<AppProfile> &apps, const SystemParams &params,
                 const MaxQpsOptions &opts)
 {
-    std::vector<double> loads;
-    loads.reserve(apps.size());
-    for (auto &app : apps) {
-        app.maxQps = findMaxQps(app, params, opts);
-        loads.push_back(app.maxQps);
-    }
+    std::vector<double> loads(apps.size(), 0.0);
+    if (apps.empty())
+        return loads;
+    double max_qps = 0.0;
+    for (const auto &app : apps)
+        max_qps = std::max(max_qps, kHighFraction *
+                                        capacityQps(app, params, opts));
+    // One bisection per app, each serial and seeded by opts alone, so
+    // the apps run concurrently on simulators the caller sized and
+    // the loads are the same at any pool width. maxQps is committed
+    // after the region, in index order.
+    ThreadPool &pool = ThreadPool::global();
+    auto sims = oneShotSims(pool.slotCount(), apps.front(),
+                            opts.referenceCores, max_qps,
+                            opts.warmupSec + opts.measureSec);
+    pool.parallelFor(apps.size(), [&](std::size_t i) {
+        loads[i] = kneeSearch(sims[ThreadPool::currentSlot()], apps[i],
+                              params, opts);
+    });
+    for (std::size_t i = 0; i < apps.size(); ++i)
+        apps[i].maxQps = loads[i];
     return loads;
 }
 

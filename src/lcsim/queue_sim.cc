@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 
 namespace cuttlesys {
+
+namespace {
+
+/**
+ * Spare service-heap entries past the server count: one cache line.
+ * Simulators built together for a parallel grid get their heaps from
+ * adjacent malloc chunks; without the slack the last busy core's entry
+ * in one heap shares a line with the top of the next, and the slots
+ * false-share on every event (a fifth of the grid's time, measured).
+ */
+constexpr std::size_t kHeapSlack = 64 / sizeof(std::pair<double, double>);
+
+} // namespace
 
 LcQueueSim::LcQueueSim(AppProfile profile, std::size_t num_servers,
                        double ips_per_core, std::uint64_t seed)
@@ -15,6 +29,47 @@ LcQueueSim::LcQueueSim(AppProfile profile, std::size_t num_servers,
 {
     CS_ASSERT(numServers_ > 0, "LC service needs at least one core");
     CS_ASSERT(ips_ > 0.0, "service rate must be positive");
+    inService_.reserve(numServers_ + kHeapSlack);
+}
+
+void
+LcQueueSim::reset(const AppProfile &profile, std::size_t num_servers,
+                  double ips_per_core, std::uint64_t seed)
+{
+    CS_ASSERT(num_servers > 0, "LC service needs at least one core");
+    CS_ASSERT(ips_per_core > 0.0, "service rate must be positive");
+    profile_ = profile;
+    numServers_ = num_servers;
+    ips_ = ips_per_core;
+    qps_ = 0.0;
+    rng_ = Rng(seed);
+    now_ = 0.0;
+    nextArrival_ = -1.0;
+    pending_.clear();
+    pendingHead_ = 0;
+    inService_.clear();
+    inService_.reserve(numServers_ + kHeapSlack);
+    window_.clear();
+    windowStart_ = 0.0;
+    busyTime_ = 0.0;
+    lastAccounted_ = 0.0;
+}
+
+void
+LcQueueSim::reserveFor(double qps, double duration)
+{
+    // Amortized-headroom growth for the event buffers: reserve twice
+    // the window's expected arrivals up front. push_back's exact
+    // doubling would still occasionally realloc quanta later when a
+    // noisy window sets a new high-water; with 2x headroom the
+    // buffers settle during warm-up and the steady state stays
+    // heap-free.
+    if (qps <= 0.0)
+        return;
+    const std::size_t want =
+        static_cast<std::size_t>(2.0 * qps * duration) + 64;
+    pending_.reserve(want);
+    window_.reserve(window_.size() + want);
 }
 
 void
@@ -60,7 +115,9 @@ LcQueueSim::dispatch()
         const Pending req = pending_[pendingHead_];
         ++pendingHead_;
         const double service = req.instructions / ips_;
-        inService_.emplace(now_ + service, req.arrival);
+        inService_.emplace_back(now_ + service, req.arrival);
+        std::push_heap(inService_.begin(), inService_.end(),
+                       std::greater<>());
     }
     if (pendingHead_ == pending_.size()) {
         // Fully drained: recycle the buffer (capacity is kept).
@@ -84,20 +141,7 @@ LcQueueSim::run(double duration)
     CS_ASSERT(duration >= 0.0, "negative run duration");
     const double end = now_ + duration;
 
-    // Amortized-headroom growth for the event buffers: reserve twice
-    // this window's expected arrivals up front. push_back's exact
-    // doubling would still occasionally realloc quanta later when a
-    // noisy window sets a new high-water; with 2x headroom the
-    // buffers settle during warm-up and the steady state stays
-    // heap-free.
-    if (qps_ > 0.0) {
-        const std::size_t want =
-            static_cast<std::size_t>(2.0 * qps_ * duration) + 64;
-        if (pending_.capacity() < want)
-            pending_.reserve(want);
-        if (window_.capacity() < window_.size() + want)
-            window_.reserve(window_.size() + want);
-    }
+    reserveFor(qps_, duration);
 
     while (true) {
         // Next event: arrival or earliest completion.
@@ -108,8 +152,8 @@ LcQueueSim::run(double duration)
             t_event = nextArrival_;
             kind = Kind::Arrival;
         }
-        if (!inService_.empty() && inService_.top().first < t_event) {
-            t_event = inService_.top().first;
+        if (!inService_.empty() && inService_.front().first < t_event) {
+            t_event = inService_.front().first;
             kind = Kind::Completion;
         }
 
@@ -132,8 +176,10 @@ LcQueueSim::run(double duration)
             dispatch();
             scheduleNextArrival();
         } else {
-            const auto [completion, arrival] = inService_.top();
-            inService_.pop();
+            std::pop_heap(inService_.begin(), inService_.end(),
+                          std::greater<>());
+            const auto [completion, arrival] = inService_.back();
+            inService_.pop_back();
             window_.push_back(completion - arrival);
             dispatch();
         }
@@ -146,6 +192,16 @@ LcQueueSim::tailLatency(double pct) const
     if (window_.empty())
         return 0.0;
     return percentile(window_, pct, tailScratch_);
+}
+
+double
+LcQueueSim::consumeTailLatency(double pct)
+{
+    if (window_.empty())
+        return 0.0;
+    const double tail = percentileInPlace(window_, pct);
+    clearWindow();
+    return tail;
 }
 
 double
@@ -172,6 +228,35 @@ LcQueueSim::clearWindow()
     windowStart_ = now_;
     busyTime_ = 0.0;
     lastAccounted_ = now_;
+}
+
+std::vector<LcQueueSim>
+oneShotSims(std::size_t count, const AppProfile &app, std::size_t servers,
+            double max_qps, double max_duration)
+{
+    std::vector<LcQueueSim> sims;
+    sims.reserve(count);
+    for (std::size_t s = 0; s < count; ++s) {
+        // Rate and seed are placeholders: oneShotTail() resets both.
+        sims.emplace_back(app, servers, 1.0, 0);
+        sims.back().reserveFor(max_qps, max_duration);
+    }
+    return sims;
+}
+
+double
+oneShotTail(LcQueueSim &sim, const AppProfile &app, std::size_t servers,
+            double ips, std::uint64_t seed, double qps, double warmup,
+            double measure, double empty_value)
+{
+    sim.reset(app, servers, ips, seed);
+    sim.setLoadQps(qps);
+    sim.run(warmup);
+    sim.clearWindow();
+    sim.run(measure);
+    if (sim.completedInWindow() == 0)
+        return empty_value;
+    return sim.consumeTailLatency(99.0);
 }
 
 } // namespace cuttlesys

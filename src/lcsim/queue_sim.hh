@@ -21,7 +21,7 @@
 #define CUTTLESYS_LCSIM_QUEUE_SIM_HH
 
 #include <cstdint>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "apps/app_profile.hh"
@@ -29,8 +29,13 @@
 
 namespace cuttlesys {
 
-/** One service instance (a cluster of cores serving one LC app). */
-class LcQueueSim
+/**
+ * One service instance (a cluster of cores serving one LC app).
+ * Cache-line aligned: a parallel grid keeps one simulator per pool
+ * slot in a single vector, and every event writes the clock and
+ * busy-time fields, so neighbouring slots must not share a line.
+ */
+class alignas(64) LcQueueSim
 {
   public:
     /**
@@ -41,6 +46,21 @@ class LcQueueSim
      */
     LcQueueSim(AppProfile profile, std::size_t num_servers,
                double ips_per_core, std::uint64_t seed);
+
+    /**
+     * Return to the state of a freshly constructed simulator with the
+     * same arguments, keeping the event buffers' capacity. Runs after
+     * a reset are bitwise identical to runs of a new simulator.
+     */
+    void reset(const AppProfile &profile, std::size_t num_servers,
+               double ips_per_core, std::uint64_t seed);
+
+    /**
+     * Size the event buffers for a run() of @p duration seconds at
+     * @p qps, so that such a run does not reallocate. run() applies
+     * the same rule on entry.
+     */
+    void reserveFor(double qps, double duration);
 
     /** Change the offered load (takes effect immediately). */
     void setLoadQps(double qps);
@@ -65,6 +85,12 @@ class LcQueueSim
      * Returns 0 when the window is empty.
      */
     double tailLatency(double pct = 99.0) const;
+
+    /**
+     * tailLatency(pct), selected in place on the window instead of
+     * sorted from a copy (bitwise the same value), then clearWindow().
+     */
+    double consumeTailLatency(double pct = 99.0);
 
     /** Mean latency (seconds) over the current window; 0 if empty. */
     double meanLatency() const;
@@ -125,10 +151,13 @@ class LcQueueSim
      */
     std::vector<Pending> pending_;
     std::size_t pendingHead_ = 0;
-    /** Min-heap of (completion time, arrival time) for busy cores. */
-    std::priority_queue<std::pair<double, double>,
-                        std::vector<std::pair<double, double>>,
-                        std::greater<>> inService_;
+    /**
+     * Min-heap (std::push_heap / pop_heap with std::greater) of
+     * (completion time, arrival time) for busy cores: the operations
+     * std::priority_queue performs, on a vector that is reserved for
+     * the server count up front and keeps its capacity over reset().
+     */
+    std::vector<std::pair<double, double>> inService_;
 
     std::vector<double> window_;   //!< completed latencies, s
     mutable std::vector<double> tailScratch_; //!< percentile sort buf
@@ -136,6 +165,29 @@ class LcQueueSim
     double busyTime_ = 0.0;        //!< integrated busy core-seconds
     double lastAccounted_ = 0.0;   //!< time up to which busyTime_ counts
 };
+
+/**
+ * @p count simulators for oneShotTail(), each with its event buffers
+ * reserved for runs of up to @p max_qps over @p max_duration seconds
+ * on @p servers cores. A parallel grid builds one per pool slot on
+ * the calling thread: the workers then never allocate the buffers,
+ * so no worker's malloc arena is left holding them after the grid.
+ */
+std::vector<LcQueueSim> oneShotSims(std::size_t count,
+                                    const AppProfile &app,
+                                    std::size_t servers, double max_qps,
+                                    double max_duration);
+
+/**
+ * One isolated measurement: reset @p sim to a fresh service, offer
+ * @p qps for @p warmup seconds, then measure for @p measure seconds.
+ * @return the measured window's p99 (seconds), or @p empty_value when
+ *         nothing completed in it.
+ */
+double oneShotTail(LcQueueSim &sim, const AppProfile &app,
+                   std::size_t servers, double ips, std::uint64_t seed,
+                   double qps, double warmup, double measure,
+                   double empty_value);
 
 } // namespace cuttlesys
 

@@ -257,20 +257,6 @@ asIndex(const JsonValue &v)
     return d > 0.0 ? static_cast<std::size_t>(d + 0.5) : 0;
 }
 
-/**
- * Tail latency in seconds. Current traces store raw seconds
- * ("tail_s", bit-exact for replay comparison); older traces stored
- * milliseconds, which reconvert with up to one ulp of error.
- */
-double
-tailSeconds(const JsonObject &obj)
-{
-    const auto it = obj.find("tail_s");
-    if (it != obj.end())
-        return it->second.asNumber();
-    return field(obj, "tail_ms").asNumber() * 1e-3;
-}
-
 } // namespace
 
 QuantumRecord
@@ -292,7 +278,7 @@ parseRecord(std::string_view line)
     rec.profiledLcCores = asIndex(field(*top, "profiled_lc_cores"));
 
     if (const JsonObject *m = field(*top, "measured").asObject()) {
-        rec.measuredTailSec = tailSeconds(*m);
+        rec.measuredTailSec = field(*m, "tail_s").asNumber();
         rec.measuredUtil = field(*m, "util").asNumber(-1.0);
         rec.measuredCompleted = asIndex(field(*m, "completed"));
         rec.measuredViolation = field(*m, "violation").asBool();
@@ -343,7 +329,7 @@ parseRecord(std::string_view line)
     }
 
     if (const JsonObject *x = field(*top, "executed").asObject()) {
-        rec.executedTailSec = tailSeconds(*x);
+        rec.executedTailSec = field(*x, "tail_s").asNumber();
         rec.executedPowerW = field(*x, "power_w").asNumber(-1.0);
         rec.qosViolated = field(*x, "qos_violated").asBool();
         rec.gmeanBips = field(*x, "gmean_bips").asNumber();

@@ -5,14 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 
 namespace cuttlesys {
 namespace {
+
+/** Bit pattern of a double, for exact rather than near comparisons. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
 
 TEST(StatsTest, PercentileOfSingleton)
 {
@@ -41,6 +51,39 @@ TEST(StatsTest, PercentileRejectsOutOfRange)
     std::vector<double> v{1.0};
     EXPECT_THROW(percentile(v, -1.0), PanicError);
     EXPECT_THROW(percentile(v, 101.0), PanicError);
+}
+
+TEST(StatsTest, PercentileInPlaceMatchesSortedPercentileBitwise)
+{
+    Rng rng(7);
+    std::vector<double> small(7);
+    for (double &x : small)
+        x = rng.uniform(0.0, 1.0);
+    std::vector<double> latencies(1001);
+    for (double &x : latencies)
+        x = rng.lognormalMeanCv(1e-3, 1.5);
+    const std::vector<std::vector<double>> samples = {
+        {3.5},
+        {2.0, 2.0, 1.0, 2.0, 3.0, 1.0, 2.0},
+        small,
+        latencies,
+    };
+    for (const auto &sample : samples) {
+        for (double p : {0.0, 50.0, 99.0, 100.0}) {
+            std::vector<double> work = sample;
+            EXPECT_EQ(bits(percentileInPlace(work, p)),
+                      bits(percentile(sample, p)))
+                << "n=" << sample.size() << " p=" << p;
+        }
+    }
+}
+
+TEST(StatsTest, PercentileInPlaceRejectsBadInput)
+{
+    std::vector<double> empty;
+    EXPECT_THROW(percentileInPlace(empty, 50.0), PanicError);
+    std::vector<double> v{1.0, 2.0};
+    EXPECT_THROW(percentileInPlace(v, 101.0), PanicError);
 }
 
 TEST(StatsTest, MeanAndStddev)

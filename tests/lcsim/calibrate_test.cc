@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "apps/gallery.hh"
 #include "common/logging.hh"
 #include "lcsim/calibrate.hh"
@@ -65,6 +68,24 @@ TEST(CalibrateTest, CalibratesAllTailbenchApps)
     }
 }
 
+TEST(CalibrateTest, PoolCalibrationMatchesPerAppSearchBitwise)
+{
+    // calibrateMaxQps runs the apps' knee searches concurrently on
+    // reused simulators; each result must be exactly the serial one.
+    const SystemParams params;
+    MaxQpsOptions opts = fastOpts();
+    opts.iterations = 8;
+    auto apps = tailbenchGallery();
+    const auto loads = calibrateMaxQps(apps, params, opts);
+    ASSERT_EQ(loads.size(), apps.size());
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        const double serial = findMaxQps(apps[i], params, opts);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(loads[i]),
+                  std::bit_cast<std::uint64_t>(serial))
+            << apps[i].name;
+    }
+}
+
 TEST(CalibrateTest, MaxQpsOrderingTracksRequestWork)
 {
     // Heavier requests (imgdnn, moses) must sustain less load than
@@ -90,6 +111,8 @@ TEST(CalibrateTest, RejectsBatchApps)
     EXPECT_THROW(
         measureTailAtLoad(profileByName("gcc"), 100.0, params),
         PanicError);
+    std::vector<AppProfile> batch = {profileByName("gcc")};
+    EXPECT_THROW(calibrateMaxQps(batch, params), PanicError);
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "apps/gallery.hh"
 #include "common/logging.hh"
 #include "lcsim/queue_sim.hh"
@@ -18,6 +21,13 @@ lcApp()
     AppProfile p = profileByName("silo");
     p.requestCv = 0.4;
     return p;
+}
+
+/** Bit pattern of a double, for exact rather than near comparisons. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
 }
 
 /** Service rate giving a 1 ms mean service time. */
@@ -155,6 +165,47 @@ TEST(QueueSimTest, DeterministicForSameSeed)
     }
     EXPECT_EQ(a.completedInWindow(), b.completedInWindow());
     EXPECT_DOUBLE_EQ(a.tailLatency(99.0), b.tailLatency(99.0));
+}
+
+TEST(QueueSimTest, ResetMatchesFreshSimulator)
+{
+    const AppProfile app = lcApp();
+    const double ips = ipsForMeanService(app, 0.001);
+    // Grow every buffer first: a saturating run on another profile
+    // leaves a long backlog, a large window and a full service heap.
+    LcQueueSim reused(profileByName("xapian"), 8, ips, 99);
+    reused.setLoadQps(20000.0);
+    reused.run(0.5);
+    ASSERT_GT(reused.backlog(), 0u);
+
+    reused.reset(app, 4, ips, 5);
+    LcQueueSim fresh(app, 4, ips, 5);
+    for (auto *sim : {&reused, &fresh}) {
+        sim->setLoadQps(3800.0);
+        sim->run(0.2);
+        sim->clearWindow();
+        sim->run(0.5);
+    }
+    ASSERT_GT(fresh.completedInWindow(), 0u);
+    EXPECT_EQ(reused.completedInWindow(), fresh.completedInWindow());
+    EXPECT_EQ(bits(reused.tailLatency()), bits(fresh.tailLatency()));
+    EXPECT_EQ(bits(reused.meanLatency()), bits(fresh.meanLatency()));
+    EXPECT_EQ(bits(reused.utilization()), bits(fresh.utilization()));
+    EXPECT_EQ(reused.backlog(), fresh.backlog());
+    EXPECT_EQ(reused.inService(), fresh.inService());
+    EXPECT_EQ(bits(reused.now()), bits(fresh.now()));
+}
+
+TEST(QueueSimTest, ConsumeTailLatencyMatchesTailAndClears)
+{
+    LcQueueSim sim(lcApp(), 4, 5e9, 42);
+    sim.setLoadQps(2000.0);
+    sim.run(1.0);
+    ASSERT_GT(sim.completedInWindow(), 0u);
+    const double tail = sim.tailLatency(99.0);
+    EXPECT_EQ(bits(sim.consumeTailLatency(99.0)), bits(tail));
+    EXPECT_EQ(sim.completedInWindow(), 0u);
+    EXPECT_EQ(sim.consumeTailLatency(99.0), 0.0);
 }
 
 TEST(QueueSimTest, TimeAdvancesExactly)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/logging.hh"
 #include "sim/ground_truth.hh"
 #include "sim_fixture.hh"
@@ -126,6 +129,34 @@ TEST(GroundTruthTest, TrainingTableStacksAppsByLoad)
     for (std::size_t r = 0; r < table.rows(); ++r)
         for (std::size_t c = 0; c < table.cols(); ++c)
             EXPECT_GT(table(r, c), 0.0);
+}
+
+TEST(GroundTruthTest, TrainingTableRowsMatchSerialCurvesBitwise)
+{
+    // The table's cells run concurrently on per-slot simulators; every
+    // row must be exactly the serial curve at that load.
+    const SystemParams params;
+    const std::vector<AppProfile> apps = {calibratedTailbench()[0],
+                                          calibratedTailbench()[4]};
+    const std::vector<double> fractions = {0.3, 0.9};
+    LcCurveOptions opts;
+    opts.warmupSec = 0.1;
+    opts.measureSec = 0.3;
+    const Matrix table =
+        lcTailTrainingTable(apps, fractions, params, opts);
+    ASSERT_EQ(table.rows(), apps.size() * fractions.size());
+    std::size_t mismatches = 0;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        for (std::size_t f = 0; f < fractions.size(); ++f) {
+            const auto curve = lcTailCurve(
+                apps[a], fractions[f] * apps[a].maxQps, params, opts);
+            const std::size_t row = a * fractions.size() + f;
+            for (std::size_t c = 0; c < kNumJobConfigs; ++c)
+                mismatches += std::bit_cast<std::uint64_t>(table(row, c)) !=
+                    std::bit_cast<std::uint64_t>(curve[c]);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(GroundTruthTest, TrainingTableRequiresCalibration)

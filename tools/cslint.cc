@@ -2,11 +2,10 @@
  * @file
  * cslint — the repository's compiled static analyzer.
  *
- * Replaces the Python regex linter (tools/lint.sh) with a
- * comment/string-aware token analyzer. Two properties motivated the
- * rewrite: the regex stripper mishandled C++ raw string literals
- * (R"( ... )" terminated at the first '"', silently blanking the rest
- * of the file — any violation after a raw string was invisible), and
+ * A comment/string-aware token analyzer; it replaced a regex-based
+ * linter script. Two properties motivated the rewrite: the regex
+ * stripper mishandled C++ raw string literals (R"( ... )" terminated
+ * at the first '"', silently blanking the rest of the file — any violation after a raw string was invisible), and
  * several determinism rules the repo needs are not expressible as
  * line regexes at all (range-for float reductions, include layering).
  *
