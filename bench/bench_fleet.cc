@@ -28,8 +28,8 @@
  *
  * An incremental-decisions section then drives the *real*
  * FleetController (full per-node simulators) through the compressed
- * diurnal day twice per fleet size — stability gate + memo cache on
- * vs. --no-fastpath always-full — and reports the mean per-node
+ * diurnal day twice per fleet size — stability gate on vs.
+ * --no-fastpath always-full — and reports the mean per-node
  * decision time (the scheduler-side phases: ingest, reconstruct,
  * search, enforce), the parallel node-step wall time per cluster
  * quantum, the fast-path hit rate, and the QoS / batch-Ginstr deltas
@@ -56,7 +56,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -791,14 +790,6 @@ struct AbArm
     std::size_t invalidations[telemetry::kNumInvalidationReasons] =
         {}; //!< why full quanta ran (steady records)
     FleetSummary summary;
-    // Per-slice aggregates over nodes (CS_AB_DEBUG diagnostics).
-    std::vector<double> sliceBips;     //!< sum of slot BIPS
-    std::vector<double> sliceLcCores;  //!< sum of LC cores
-    std::vector<double> sliceLcWays;   //!< sum of LC cache ways
-    std::vector<std::size_t> sliceFast; //!< fast-reuse nodes
-    std::vector<double> sliceCoreW;    //!< sum of slot core widths
-    std::vector<double> slicePower;    //!< sum of executed power
-    std::vector<std::size_t> sliceVict; //!< sum of cap victims
 };
 
 AbArm
@@ -843,10 +834,8 @@ runAbArm(const RealStack &stack, std::size_t n, std::size_t quanta,
     opts.scheduler.sgdLatency.maxIterations = 40;
     opts.scheduler.dds.maxIterations = 25;
     opts.scheduler.dds.threads = 4;
-    if (!fastpath) {
+    if (!fastpath)
         opts.scheduler.fastPath = false;
-        opts.memoCache = false;
-    }
 
     BackfillBinPack backfill;
     FleetController fleet(stack.params, stack.tables, stack.lc,
@@ -875,28 +864,7 @@ runAbArm(const RealStack &stack, std::size_t n, std::size_t quanta,
     // enforce) — profiling and slice execution are driver cost either
     // way.
     std::size_t records = 0;
-    arm.sliceBips.assign(quanta, 0.0);
-    arm.sliceLcCores.assign(quanta, 0.0);
-    arm.sliceLcWays.assign(quanta, 0.0);
-    arm.sliceFast.assign(quanta, 0);
-    arm.sliceCoreW.assign(quanta, 0.0);
-    arm.slicePower.assign(quanta, 0.0);
-    arm.sliceVict.assign(quanta, 0);
     for (const telemetry::QuantumRecord &r : sink.records()) {
-        if (r.slice < quanta) {
-            for (double b : r.slotBips)
-                arm.sliceBips[r.slice] += b;
-            arm.sliceLcCores[r.slice] +=
-                static_cast<double>(r.lcCores);
-            arm.sliceLcWays[r.slice] +=
-                JobConfig::fromIndex(r.lcConfigIndex).cacheWays();
-            if (r.decisionPath == telemetry::DecisionPath::FastReuse)
-                ++arm.sliceFast[r.slice];
-            for (double c : r.slotCores)
-                arm.sliceCoreW[r.slice] += c;
-            arm.slicePower[r.slice] += r.executedPowerW;
-            arm.sliceVict[r.slice] += r.capVictims.size();
-        }
         if (r.slice < kAbWarmQuanta)
             continue;
         ++records;
@@ -926,7 +894,7 @@ struct AbPoint
 {
     std::size_t nodes = 0;
     std::size_t quanta = 0;
-    AbArm on;  //!< stability gate + memo cache (shipped default)
+    AbArm on;  //!< stability gate on (shipped default)
     AbArm off; //!< --no-fastpath always-full baseline
     double decisionSpeedup = 0.0;
     double qosDeltaPts = 0.0;    //!< on - off, percentage points
@@ -952,29 +920,6 @@ measureIncremental(const RealStack &stack, std::size_t n,
                         pt.off.summary.totalBatchInstructions -
                     1.0)
         : 0.0;
-    if (std::getenv("CS_AB_DEBUG") != nullptr) {
-        std::printf("\nCS_AB_DEBUG per-slice (N=%zu): on vs off\n",
-                    n);
-        std::printf("%6s %10s %10s %7s %8s %8s %8s %8s %4s %4s "
-                    "%5s\n",
-                    "slice", "bips_on", "bips_off", "d%",
-                    "coreW_on", "coreW_off", "pw_on", "pw_off",
-                    "v_on", "v_off", "fast");
-        for (std::size_t s = 0; s < quanta; ++s) {
-            const double d = pt.off.sliceBips[s] > 0.0
-                ? 100.0 * (pt.on.sliceBips[s] /
-                               pt.off.sliceBips[s] - 1.0)
-                : 0.0;
-            std::printf(
-                "%6zu %10.2f %10.2f %+6.2f %8.2f %8.2f %8.1f "
-                "%8.1f %4zu %4zu %5zu\n",
-                s, pt.on.sliceBips[s], pt.off.sliceBips[s], d,
-                pt.on.sliceCoreW[s], pt.off.sliceCoreW[s],
-                pt.on.slicePower[s], pt.off.slicePower[s],
-                pt.on.sliceVict[s], pt.off.sliceVict[s],
-                pt.on.sliceFast[s]);
-        }
-    }
     return pt;
 }
 
@@ -1151,18 +1096,17 @@ main(int argc, char **argv)
     std::printf("\n-----------------------------------------------"
                 "-------------------------\n");
     std::printf("incremental decisions — real fleet, diurnal day, "
-                "gate+memo vs always-full\n");
-    std::printf("%7s %6s %12s %12s %8s %6s %6s %9s %9s\n", "nodes",
+                "gate vs always-full\n");
+    std::printf("%7s %6s %12s %12s %8s %6s %9s %9s\n", "nodes",
                 "quanta", "full us/dec", "fast us/dec", "speedup",
-                "hit%", "memo", "dQoS(pt)", "dGinstr%");
+                "hit%", "dQoS(pt)", "dGinstr%");
     for (const AbPoint &pt : ab) {
-        std::printf("%7zu %6zu %12.1f %12.1f %7.2fx %5.1f%% %6zu "
+        std::printf("%7zu %6zu %12.1f %12.1f %7.2fx %5.1f%% "
                     "%+9.2f %9.3f\n",
                     pt.nodes, pt.quanta, pt.off.decisionUs,
                     pt.on.decisionUs, pt.decisionSpeedup,
                     100.0 * pt.on.summary.fastPathHitRate,
-                    pt.on.summary.memoHits, pt.qosDeltaPts,
-                    100.0 * pt.ginstrRelDelta);
+                    pt.qosDeltaPts, 100.0 * pt.ginstrRelDelta);
     }
     std::printf("\nnode-step wall (us/cluster-quantum) and per-node "
                 "decision phases at N=%zu:\n", gatePt.nodes);
@@ -1175,7 +1119,7 @@ main(int argc, char **argv)
     std::printf("\n%9s %10.1f", "always", gatePt.off.stepUs);
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p)
         std::printf(" %11.1f", gatePt.off.phaseUs[p]);
-    std::printf("\n%9s %10.1f", "gate+memo", gatePt.on.stepUs);
+    std::printf("\n%9s %10.1f", "gate", gatePt.on.stepUs);
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p)
         std::printf(" %11.1f", gatePt.on.phaseUs[p]);
     std::printf("\ninvalidations:");
@@ -1189,10 +1133,9 @@ main(int argc, char **argv)
                 gatePt.on.invalidations[i]);
         }
     }
-    std::printf("\ndecision split: full %zu (memo-seeded %zu), "
+    std::printf("\ndecision split: full %zu, "
                 "fast-reuse %zu of %zu node-quanta\n",
                 gatePt.on.summary.fullQuanta,
-                gatePt.on.summary.memoSeededQuanta,
                 gatePt.on.summary.fastPathHits,
                 gatePt.on.summary.fullQuanta +
                     gatePt.on.summary.fastPathHits);
@@ -1248,8 +1191,6 @@ main(int argc, char **argv)
                 "\"fast_us_per_decision\": %.2f, "
                 "\"decision_speedup\": %.3f, "
                 "\"fast_path_hit_rate\": %.4f, "
-                "\"memo_hits\": %zu, \"memo_stores\": %zu, "
-                "\"memo_seeded_quanta\": %zu, "
                 "\"step_wall_us_on\": %.1f, "
                 "\"step_wall_us_off\": %.1f, "
                 "\"qos_pct_on\": %.3f, \"qos_pct_off\": %.3f, "
@@ -1257,9 +1198,7 @@ main(int argc, char **argv)
                 "\"ginstr_rel_delta\": %.5f}%s\n",
                 pt.nodes, pt.quanta, pt.off.decisionUs,
                 pt.on.decisionUs, pt.decisionSpeedup,
-                pt.on.summary.fastPathHitRate, pt.on.summary.memoHits,
-                pt.on.summary.memoStores,
-                pt.on.summary.memoSeededQuanta, pt.on.stepUs,
+                pt.on.summary.fastPathHitRate, pt.on.stepUs,
                 pt.off.stepUs, pt.on.summary.clusterQosPct,
                 pt.off.summary.clusterQosPct,
                 pt.on.summary.totalBatchInstructions,

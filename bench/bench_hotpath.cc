@@ -14,9 +14,9 @@
  * persistent DDS scratch). Both run on the persistent pool.
  *
  * Three extra sections audit this change set directly:
- *  - scalar-vs-vector micro rows time the kernel layer's two
- *    backends on the hot primitive shapes (both are always compiled;
- *    CS_KERNEL_SCALAR only flips the public dispatch),
+ *  - scalar-vs-vector micro rows time the kernel layer's
+ *    lane-blocked primitives against their scalar reference twins on
+ *    the hot primitive shapes,
  *  - a steady-state allocations-per-quantum row, counted by the
  *    cs_alloc_probe operator-new replacement (must be 0),
  *  - a paired telemetry-overhead row: interleaved best-of-K quanta
@@ -355,10 +355,9 @@ timeNs(F &&body, std::size_t reps)
 }
 
 /**
- * Time both kernel backends on the hot shapes: rank-8 SGD steps,
- * jobs x configs log-table fills, and 16-wide gathers. Both backends
- * are compiled into every build (the CS_KERNEL_SCALAR option only
- * flips the public dispatch), so the rows are meaningful everywhere.
+ * Time the vector kernels against their scalar reference twins on
+ * the hot shapes: rank-8 SGD steps, jobs x configs log-table fills,
+ * and 16-wide gathers.
  */
 std::vector<MicroRow>
 microKernels()

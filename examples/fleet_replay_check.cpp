@@ -23,11 +23,11 @@
  * admission, and the preemption path replay bitwise — the tenancy
  * fields (per-slot accounts, eviction victims) are part of the diff.
  *
- * With --no-fastpath the stability gate and the fleet memo cache are
- * both disabled, which reproduces the pre-incremental controller's
- * decisions exactly — CI holds that mode's trace against the
- * committed PR 8 reference (tests/data/fleet_ref_pr8.jsonl) at
- * several pool widths.
+ * With --no-fastpath the stability gate is disabled, which reproduces
+ * the pre-incremental controller's decisions exactly — CI holds that
+ * mode's trace against the committed pre-fastpath reference
+ * (tests/data/fleet_ref_pr8.jsonl) at several pool widths. The default
+ * (gate on) mode is held against tests/data/fleet_ref_fastpath.jsonl.
  *
  * With --dag the churn stream also submits DAG workflows (frontier
  * release, artifact caches, data-gravity placement), so the gate
@@ -87,10 +87,8 @@ runOnce(const SystemParams &params, const TrainingTables &tables,
     opts.churn.meanArrivalsPerQuantum =
         0.5 * static_cast<double>(nodes);
     opts.sink = &sink;
-    if (no_fastpath) {
+    if (no_fastpath)
         opts.scheduler.fastPath = false;
-        opts.memoCache = false;
-    }
     if (tenants) {
         // The fleet_sim --tenants configuration: skewed arrivals,
         // equal shares, the heaviest submitter in the lowest class,

@@ -22,11 +22,11 @@
  *                --dag defaults to 4.0 = 40 quanta so multi-task
  *                workflows actually run to completion)
  *
- * --no-fastpath disables the stability gate AND the fleet memo cache:
- * every quantum runs the full reconstruct + DDS pipeline, which
- * reproduces the pre-incremental controller's traces bitwise (the CI
- * replay gate holds fleet_trace.jsonl from this mode against the
- * committed reference).
+ * --no-fastpath disables the stability gate: every quantum runs the
+ * full reconstruct + DDS pipeline, which reproduces the
+ * pre-incremental controller's traces bitwise (the CI replay gate
+ * holds fleet_trace.jsonl from this mode against the committed
+ * reference).
  *
  * With --tenants the comparison switches from placement policies to
  * queue disciplines: three accounts with skewed arrival weights but
@@ -94,10 +94,8 @@ makeFleetOptions(std::size_t nodes, double day_seconds,
     opts.churn.meanArrivalsPerQuantum =
         0.5 * static_cast<double>(nodes);
     opts.sink = sink;
-    if (gNoFastPath) {
+    if (gNoFastPath)
         opts.scheduler.fastPath = false;
-        opts.memoCache = false;
-    }
     return opts;
 }
 
@@ -188,12 +186,10 @@ printSummary(const FleetSummary &s)
                 s.placementStalls, s.preemptions, s.droppedQueued,
                 s.loadShifts);
     if (s.fastPathHits + s.fullQuanta > 0) {
-        std::printf("decision: full %zu (memo-seeded %zu)  "
-                    "fast-reuse %zu  hit-rate %.1f%%  memo %zu/%zu "
-                    "hits (%zu stores)\n",
-                    s.fullQuanta, s.memoSeededQuanta, s.fastPathHits,
-                    100.0 * s.fastPathHitRate, s.memoHits,
-                    s.memoLookups, s.memoStores);
+        std::printf("decision: full %zu  fast-reuse %zu  "
+                    "hit-rate %.1f%%\n",
+                    s.fullQuanta, s.fastPathHits,
+                    100.0 * s.fastPathHitRate);
     }
     std::printf("\n");
 }

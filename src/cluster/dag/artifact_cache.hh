@@ -10,7 +10,7 @@
  * entry, and the placement scorer's locality term only has to ask
  * find() per (input, node) pair.
  *
- * Determinism contract (the memo-cache discipline, DESIGN.md §12):
+ * Determinism contract (the scan/commit discipline, DESIGN.md §12):
  * find() is read-only and safe from the controller's parallel scans;
  * insert()/touch() run only in single-threaded merge phases in
  * node-index order. Eviction is LRU by *quantum* under the strict

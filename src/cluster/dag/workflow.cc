@@ -1,8 +1,8 @@
 #include "cluster/dag/workflow.hh"
 
 #include <algorithm>
+#include <string_view>
 
-#include "cluster/memo.hh"
 #include "common/logging.hh"
 
 namespace cuttlesys {
@@ -15,6 +15,28 @@ namespace {
 constexpr std::uint64_t kDurationSalt = 0x51;
 
 } // namespace
+
+std::uint64_t
+hashCombine(std::uint64_t h, std::uint64_t v)
+{
+    // splitmix64's finalizer over the running hash xor the value:
+    // cheap, well-mixed, and a pure function of its inputs.
+    std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+std::uint64_t
+hashString(std::string_view s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a offset basis
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL; // FNV prime
+    }
+    return h;
+}
 
 bool
 validateWorkflowSpec(const WorkflowSpec &spec, std::string *why)
@@ -127,9 +149,9 @@ artifactIdRoot(const std::string &template_name,
                const std::string &task_name,
                std::uint64_t instance_seed)
 {
-    std::uint64_t h = memoHashString(template_name);
-    h = memoHashCombine(h, memoHashString(task_name));
-    h = memoHashCombine(h, instance_seed);
+    std::uint64_t h = hashString(template_name);
+    h = hashCombine(h, hashString(task_name));
+    h = hashCombine(h, instance_seed);
     // | 1 keeps every id distinct from the 0 = invalid sentinel.
     return h | 1;
 }
@@ -138,9 +160,9 @@ ArtifactId
 artifactIdDerived(const std::string &task_name,
                   const std::vector<ArtifactRef> &inputs)
 {
-    std::uint64_t h = memoHashString(task_name);
+    std::uint64_t h = hashString(task_name);
     for (const ArtifactRef &in : inputs)
-        h = memoHashCombine(h, in.id);
+        h = hashCombine(h, in.id);
     return h | 1;
 }
 
@@ -257,9 +279,8 @@ WorkflowEngine::admit(std::size_t tpl, std::uint64_t seed,
         const std::uint64_t jitter = ts.durationJitterQuanta;
         task.duration = static_cast<std::uint16_t>(
             ts.baseDurationQuanta +
-            (jitter ? memoHashCombine(
-                          memoHashCombine(seed, kDurationSalt), t) %
-                      (jitter + 1)
+            (jitter ? hashCombine(hashCombine(seed, kDurationSalt), t) %
+                          (jitter + 1)
                     : 0));
         task.inputs.clear();
         for (const std::uint16_t in : ts.inputs) {
@@ -288,7 +309,7 @@ WorkflowEngine::taskDrawHash(std::size_t wf, std::size_t task,
 {
     const LiveWorkflow &w = pool_[wf];
     CS_ASSERT(w.active, "draw from an inactive workflow");
-    return memoHashCombine(memoHashCombine(w.seed, salt), task);
+    return hashCombine(hashCombine(w.seed, salt), task);
 }
 
 std::uint16_t

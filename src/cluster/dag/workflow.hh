@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cuttlesys {
@@ -50,6 +51,14 @@ namespace dag {
 
 /** Content hash naming one produced artifact (0 = invalid). */
 using ArtifactId = std::uint64_t;
+
+/** One splitmix64 mixing step folding @p v into @p h: a pure
+ *  function of its inputs, sensitive to fold order. */
+std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v);
+
+/** FNV-1a over @p s (artifact ids hash *names*, never pointers:
+ *  addresses change run to run, names replay). */
+std::uint64_t hashString(std::string_view s);
 
 /** One named input/output edge: an artifact and its modeled size. */
 struct ArtifactRef

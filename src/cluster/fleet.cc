@@ -56,7 +56,6 @@ FleetController::FleetController(const SystemParams &params,
                  .nodeFloorW = opts_.nodeFloorFrac * node_max_power_w,
                  .nodeCapW = node_max_power_w,
                  .qosBoostW = opts_.qosBoostW}),
-      nodeMaxPowerW_(node_max_power_w),
       churnArenas_(ThreadPool::global().slotCount())
 {
     CS_ASSERT(opts_.numNodes > 0, "fleet needs at least one node");
@@ -79,21 +78,14 @@ FleetController::FleetController(const SystemParams &params,
 
     nodeSinks_.reserve(n);
     nodes_.reserve(n);
-    std::uint64_t firstMixSeed = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t mixSeed = master();
         const std::uint64_t simSeed = master();
-        if (i == 0)
-            firstMixSeed = mixSeed;
 
         WorkloadMix mix;
         mix.lc = lc_service;
-        // uniformMixes: true replicas share one mix draw (so memo
-        // signatures match across nodes); the master stream is still
-        // consumed per node, keeping sim seeds identical either way.
-        mix.batch = makeBatchMix(
-            batch_pool, opts_.batchSlotsPerNode,
-            opts_.uniformMixes ? firstMixSeed : mixSeed);
+        mix.batch =
+            makeBatchMix(batch_pool, opts_.batchSlotsPerNode, mixSeed);
 
         // Replicas of one service behind a load balancer: same day,
         // staggered phase, heterogeneous popularity. Node 0 carries
@@ -157,16 +149,6 @@ FleetController::FleetController(const SystemParams &params,
                 runningAt(i, s).account = -1;
         }
     }
-
-    // The memo table and its per-node scratch are sized here, never
-    // in the quantum loop (heap-free steady state).
-    if (opts_.memoCache) {
-        memo_.reset(std::max<std::size_t>(opts_.memoBuckets, 1),
-                    slotsPerNode_);
-    }
-    memoKeys_.assign(n, 0);
-    memoHit_.assign(n, 0);
-    memoStore_.assign(n, 0);
 
     drained_.assign(n, 0);
     nodeBudgetSum_.assign(n, 0.0);
@@ -872,102 +854,6 @@ FleetController::shiftLoad()
     }
 }
 
-std::uint64_t
-FleetController::nodeMemoKey(std::size_t i) const
-{
-    // Job-mix signature: per-slot occupancy plus profile-*name*
-    // hashes in slot order (names replay across runs; pointers do
-    // not). The |1 keeps an occupied slot's contribution distinct
-    // from the vacant marker even for a pathological zero name hash.
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::size_t s = 0; s < slotsPerNode_; ++s) {
-        const RunningJob &r = running_[i * slotsPerNode_ + s];
-        const std::uint64_t v =
-            r.account < 0 ? 0
-                          : (memoHashString(r.profile.name) | 1);
-        h = memoHashCombine(h, v);
-    }
-    h = memoHashCombine(
-        h, memoBin(nodes_[i]->nextLoadFraction(),
-                   std::max<std::size_t>(opts_.memoLoadBins, 1)));
-    h = memoHashCombine(
-        h, memoBin(budgets_[i] / nodeMaxPowerW_,
-                   std::max<std::size_t>(opts_.memoBudgetBins, 1)));
-    return h;
-}
-
-void
-FleetController::memoSeedNodes()
-{
-    if (!memoEnabled())
-        return;
-
-    // Parallel scan: quantize each node's upcoming conditions into a
-    // memo key and probe the table read-only — every store happened
-    // in an earlier quantum's serial merge, so all workers see the
-    // same committed state. A hit installs the sibling's converged
-    // point into that node's scheduler (node-local state), which is
-    // order-independent across workers.
-    std::vector<std::unique_ptr<ClusterNode>> &nodes = nodes_;
-    ThreadPool::global().parallelChunks(
-        nodes.size(), kNodeChunk,
-        [this, &nodes](std::size_t, std::size_t begin,
-                       std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                memoKeys_[i] = nodeMemoKey(i);
-                const std::uint16_t *hit = memo_.find(memoKeys_[i]);
-                memoHit_[i] = hit != nullptr;
-                if (hit) {
-                    nodes[i]->scheduler().setMemoSeed(hit,
-                                                      slotsPerNode_);
-                }
-            }
-        });
-
-    // Serial tally in node order: counters stay deterministic at any
-    // pool width.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        ++memoLookups_;
-        memoHits_ += memoHit_[i];
-    }
-}
-
-void
-FleetController::memoPopulate()
-{
-    if (!memoEnabled())
-        return;
-
-    // Parallel scan: flag nodes whose step converged a fresh full
-    // decision (reads node-local scheduler state only).
-    std::vector<std::unique_ptr<ClusterNode>> &nodes = nodes_;
-    ThreadPool::global().parallelChunks(
-        nodes.size(), kNodeChunk,
-        [this, &nodes](std::size_t, std::size_t begin,
-                       std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const telemetry::DecisionPath p =
-                    nodes[i]->scheduler().lastDecisionPath();
-                memoStore_[i] =
-                    p == telemetry::DecisionPath::Full ||
-                    p == telemetry::DecisionPath::MemoSeeded;
-            }
-        });
-
-    // Serial merge in strict node-index order: colliding signatures
-    // resolve to the highest node index every time, so the table —
-    // and every decision seeded from it — is bitwise identical at
-    // any CS_POOL_THREADS.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (!memoStore_[i])
-            continue;
-        const std::vector<std::uint16_t> &point =
-            nodes_[i]->scheduler().cachedPoint();
-        if (point.size() == slotsPerNode_)
-            memo_.store(memoKeys_[i], point.data());
-    }
-}
-
 void
 FleetController::gatherQuantum()
 {
@@ -1031,7 +917,6 @@ FleetController::stepQuantum()
     placePending();
     splitBudget();
     shiftLoad();
-    memoSeedNodes();
 
     // The parallel region: nodes are fully independent (each owns its
     // sim, scheduler, and stepper), so any pool width produces the
@@ -1042,7 +927,6 @@ FleetController::stepQuantum()
         nodes.size(),
         [&nodes](std::size_t i) { nodes[i]->step(); });
 
-    memoPopulate();
     gatherQuantum();
     ++quantum_;
 }
@@ -1083,17 +967,12 @@ FleetController::summary()
             static_cast<std::size_t>(sched.fastPathHits());
         s.fullQuanta +=
             static_cast<std::size_t>(sched.fullQuanta());
-        s.memoSeededQuanta +=
-            static_cast<std::size_t>(sched.memoSeededQuanta());
     }
     const std::size_t decided = s.fastPathHits + s.fullQuanta;
     s.fastPathHitRate = decided
         ? static_cast<double>(s.fastPathHits) /
             static_cast<double>(decided)
         : 0.0;
-    s.memoLookups = memoLookups_;
-    s.memoHits = memoHits_;
-    s.memoStores = static_cast<std::size_t>(memo_.stores());
 
     if (dagEnabled()) {
         s.workflowsSubmitted = workflowsSubmitted_;

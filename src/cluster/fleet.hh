@@ -61,7 +61,6 @@
 #include "cluster/churn.hh"
 #include "cluster/dag/artifact_cache.hh"
 #include "cluster/dag/workflow.hh"
-#include "cluster/memo.hh"
 #include "cluster/node.hh"
 #include "cluster/placement.hh"
 #include "cluster/power_manager.hh"
@@ -145,28 +144,6 @@ struct FleetOptions
      *  least-loaded replica for the next quantum. 0 disables. */
     double qosLoadShiftFrac = 0.15;
 
-    /**
-     * The fleet-wide schedule memo cache: nodes entering a quantized
-     * (job-mix, load bin, budget bin) signature another node already
-     * converged a schedule for seed their search from that sibling's
-     * point. Active only while scheduler.fastPath is on, so
-     * fastPath=false alone reproduces the always-full fleet bitwise.
-     */
-    bool memoCache = true;
-    /** Direct-mapped memo table size (signatures, not nodes). */
-    std::size_t memoBuckets = 512;
-    /** Load-fraction quantization of the memo key. */
-    std::size_t memoLoadBins = 16;
-    /** Budget-fraction (of node max power) quantization. */
-    std::size_t memoBudgetBins = 16;
-    /**
-     * Give every node the *same* batch mix (true replicas) instead of
-     * the per-node seeded draw — the configuration where
-     * phase-staggered siblings share memo signatures and cross-node
-     * seeding actually fires. Sim seeds stay per-node either way.
-     */
-    bool uniformMixes = false;
-
     /** Fleet-wide trace sink; per-node records are drained into it in
      *  node-index order, each stamped with its node. Null = untraced
      *  (and the steady-state cluster quantum stays heap-free). */
@@ -247,14 +224,14 @@ struct FleetSummary
     std::size_t preemptions = 0;     //!< class-strict evictions
     std::size_t placementStalls = 0; //!< job-quanta spent waiting
     std::size_t loadShifts = 0;      //!< replica load-shift events
-    // --- incremental-decision outcome (stability gate + memo cache) --
+    // --- incremental-decision outcome (stability gate) --------------
     std::size_t fastPathHits = 0;    //!< fast-reuse node-quanta
-    std::size_t fullQuanta = 0;      //!< full node-quanta (memo incl.)
-    std::size_t memoSeededQuanta = 0; //!< full quanta seeded from memo
+    std::size_t fullQuanta = 0;      //!< full node-quanta
     double fastPathHitRate = 0.0;    //!< hits / (hits + full)
-    std::size_t memoLookups = 0;     //!< memo probes (node-quanta)
-    std::size_t memoHits = 0;        //!< probes that found a sibling
-    std::size_t memoStores = 0;      //!< serial-merge table commits
+    std::size_t memoSeededQuanta = 0; //!< always 0; cs_bench reads it
+    std::size_t memoLookups = 0;      //!< always 0; cs_bench reads it
+    std::size_t memoHits = 0;         //!< always 0; cs_bench reads it
+    std::size_t memoStores = 0;       //!< always 0; cs_bench reads it
     // --- DAG workflow outcome (all 0 with dag disabled) --------------
     std::size_t workflowsSubmitted = 0;
     std::size_t workflowsCompleted = 0;
@@ -324,9 +301,6 @@ class FleetController
     /** The per-account usage ledger (fair-share state included). */
     const AccountingLedger &ledger() const { return ledger_; }
 
-    /** The fleet memo cache (exposed for determinism tests). */
-    const ScheduleMemoCache &memoCache() const { return memo_; }
-
     /** The workflow engine (null with dag disabled; tests only). */
     const dag::WorkflowEngine *workflowEngine() const
     {
@@ -344,20 +318,7 @@ class FleetController
     void placePending();
     void splitBudget();
     void shiftLoad();
-    void memoSeedNodes();
-    void memoPopulate();
     void gatherQuantum();
-
-    /** Memo phases run only when both layers are on: the table is an
-     *  accelerator for the stability gate's full quanta. */
-    bool memoEnabled() const
-    {
-        return opts_.memoCache && opts_.scheduler.fastPath;
-    }
-
-    /** Quantized (job-mix, load bin, budget bin) memo signature of
-     *  node @p i's upcoming quantum. Pure in replayable state. */
-    std::uint64_t nodeMemoKey(std::size_t i) const;
 
     /** Admit one churned arrival into the pending queue (drop-lowest
      *  at the capacity cap). */
@@ -418,7 +379,6 @@ class FleetController
     JobChurnEngine churn_;
     AccountingLedger ledger_;
     ClusterPowerManager power_;
-    double nodeMaxPowerW_;
     double timesliceSec_ = 0.0;
     std::size_t slotsPerNode_ = 0;
 
@@ -446,10 +406,6 @@ class FleetController
     std::vector<double> prio_;        //!< per-pending priority scratch
     std::vector<std::uint32_t> order_; //!< sorted commit order scratch
     std::vector<char> placed_;         //!< per-pending placed flags
-    ScheduleMemoCache memo_;           //!< fleet schedule memo table
-    std::vector<std::uint64_t> memoKeys_; //!< per-node quantum keys
-    std::vector<unsigned char> memoHit_;  //!< per-node probe results
-    std::vector<unsigned char> memoStore_; //!< per-node store flags
     std::uint32_t nextArrivalSeq_ = 0;
     std::size_t preemptionsThisQuantum_ = 0;
 
@@ -481,8 +437,6 @@ class FleetController
     std::size_t preemptions_ = 0;
     std::size_t placementStalls_ = 0;
     std::size_t loadShifts_ = 0;
-    std::size_t memoLookups_ = 0;
-    std::size_t memoHits_ = 0;
     std::size_t workflowsSubmitted_ = 0;
     std::size_t workflowsDropped_ = 0;
     std::size_t artifactHits_ = 0;

@@ -85,11 +85,7 @@ logGatherSumScalar(const double *table, std::size_t stride,
 const char *
 backendName()
 {
-#if defined(CS_KERNEL_SCALAR)
-    return "scalar";
-#else
     return "vector";
-#endif
 }
 
 } // namespace kernels

@@ -12,19 +12,18 @@
  *  - Every reduction keeps kLanes independent accumulators; term i
  *    always lands in lane (i mod kLanes), in increasing i order, and
  *    the lanes collapse through the fixed tree
- *    (acc0 + acc1) + (acc2 + acc3). The scalar fallback performs the
- *    *same additions in the same order*, so the vectorized and scalar
- *    paths agree bit for bit — determinism comes from the operation
- *    order, not from pinning a code shape. This is what lets
- *    replay_check hold at any thread count without -ffast-math.
+ *    (acc0 + acc1) + (acc2 + acc3). The scalar reference performs
+ *    the *same additions in the same order*, so the vectorized and
+ *    scalar paths agree bit for bit — determinism comes from the
+ *    operation order, not from pinning a code shape. This is what
+ *    lets replay_check hold at any thread count without -ffast-math.
  *  - The build compiles with -ffp-contract=off (see the top-level
  *    CMakeLists), so no path can fuse a multiply-add the other path
  *    performed as two roundings.
  *
- * Both variants of every primitive are always compiled
- * (detail::*Vec / detail::*Scalar); the public entry points dispatch
- * on the CS_KERNEL_SCALAR build option, and the equivalence tests
- * compare the two detail paths directly in either build.
+ * The public entry points call the lane-blocked detail::*Vec
+ * variants. The detail::*Scalar twins are the plain-loop reference
+ * the equivalence tests compare them against.
  */
 
 #ifndef CUTTLESYS_COMMON_KERNELS_HH
@@ -220,35 +219,21 @@ double logGatherSumScalar(const double *table, std::size_t stride,
 
 } // namespace detail
 
-#if defined(CS_KERNEL_SCALAR)
-inline constexpr bool kScalarBuild = true;
-#else
-inline constexpr bool kScalarBuild = false;
-#endif
-
-/** Name of the active dispatch target ("vector" or "scalar"). */
+/** Name of the dispatch target: always "vector" (cs_bench prints it). */
 const char *backendName();
 
 /** Dot product of two length-n arrays, lane-deterministic. */
 inline double
 dot(const double *a, const double *b, std::size_t n)
 {
-#if defined(CS_KERNEL_SCALAR)
-    return detail::dotScalar(a, b, n);
-#else
     return detail::dotVec(a, b, n);
-#endif
 }
 
 /** Sum of a length-n array, lane-deterministic. */
 inline double
 sum(const double *a, std::size_t n)
 {
-#if defined(CS_KERNEL_SCALAR)
-    return detail::sumScalar(a, n);
-#else
     return detail::sumVec(a, n);
-#endif
 }
 
 /** sum_j table[j * stride + idx[j]], lane-deterministic. */
@@ -256,22 +241,14 @@ inline double
 gatherSum(const double *table, std::size_t stride,
           const std::uint16_t *idx, std::size_t n)
 {
-#if defined(CS_KERNEL_SCALAR)
-    return detail::gatherSumScalar(table, stride, idx, n);
-#else
     return detail::gatherSumVec(table, stride, idx, n);
-#endif
 }
 
 /** y += a * x over length-n arrays. */
 inline void
 axpy(double *y, double a, const double *x, std::size_t n)
 {
-#if defined(CS_KERNEL_SCALAR)
-    detail::axpyScalar(y, a, x, n);
-#else
     detail::axpyVec(y, a, x, n);
-#endif
 }
 
 /** Fused SGD factor-pair update (see detail::sgdRankStepVec). */
@@ -279,11 +256,7 @@ inline void
 sgdRankStep(double *q, double *p, std::size_t n, double eta,
             double lambda, double err)
 {
-#if defined(CS_KERNEL_SCALAR)
-    detail::sgdRankStepScalar(q, p, n, eta, lambda, err);
-#else
     detail::sgdRankStepVec(q, p, n, eta, lambda, err);
-#endif
 }
 
 /**
@@ -298,11 +271,7 @@ inline double
 logFill(double *dst, const double *src, std::size_t n,
         double floor_value)
 {
-#if defined(CS_KERNEL_SCALAR)
-    return detail::logFillScalar(dst, src, n, floor_value);
-#else
     return detail::logFillVec(dst, src, n, floor_value);
-#endif
 }
 
 /** sum_j log(max(table[j * stride + idx[j]], floor_value)). */
@@ -311,12 +280,7 @@ logGatherSum(const double *table, std::size_t stride,
              const std::uint16_t *idx, std::size_t n,
              double floor_value)
 {
-#if defined(CS_KERNEL_SCALAR)
-    return detail::logGatherSumScalar(table, stride, idx, n,
-                                      floor_value);
-#else
     return detail::logGatherSumVec(table, stride, idx, n, floor_value);
-#endif
 }
 
 /** dst = src over length-n arrays (memmove semantics not needed). */

@@ -460,20 +460,15 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
         dds.useDeltaEval = options_.dds.useDeltaEval;
         dds.pinned = options_.dds.pinned;
 
-        // Seed the search with a greedy warm start, the previous
-        // slice's decision, and (when the fleet installed one) a
-        // sibling's converged point from the memo cache, so DDS
-        // refines instead of rediscovering.
+        // Seed the search with a greedy warm start and the previous
+        // slice's decision, so DDS refines instead of rediscovering.
         const std::size_t base_seeds = options_.dds.seedPoints.size();
         const bool prev_seed =
             options_.searchWarmStart && ctx.previousDecision &&
             ctx.previousDecision->batchConfigs.size() == numBatchJobs_;
-        const bool memo_seed = memoSeed_.size() == numBatchJobs_;
-        memoSeedUsed_ = memo_seed;
         std::size_t nseeds = base_seeds;
         if (options_.searchWarmStart)
             nseeds += 1 + (prev_seed ? 1 : 0);
-        nseeds += memo_seed ? 1 : 0;
         dds.seedPoints.resize(nseeds);
         for (std::size_t i = 0; i < base_seeds; ++i)
             dds.seedPoints[i] = options_.dds.seedPoints[i];
@@ -494,15 +489,6 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
                         ctx.previousDecision->batchConfigs[j].index());
                 }
             }
-        }
-        if (memo_seed) {
-            Point &memo = dds.seedPoints[next_seed++];
-            memo.resize(numBatchJobs_);
-            for (std::size_t j = 0; j < numBatchJobs_; ++j)
-                memo[j] = memoSeed_[j];
-            // Consumed: the seed described *this* quantum's quantized
-            // conditions; a later quantum must look the cache up again.
-            memoSeed_.clear();
         }
 
         switch (options_.searchAlgo) {
@@ -620,13 +606,10 @@ CuttleSysScheduler::decideInto(const SliceContext &ctx,
     decision.lcCores = lcCores_;
     chooseBatchConfigs(ctx, decision.lcConfig, decision);
 
-    if (options_.fastPath) {
+    // With the gate disabled no decision-path telemetry is stamped, so
+    // traces stay bitwise identical to the always-full scheduler's.
+    if (options_.fastPath)
         finishFullQuantum(ctx, decision, why);
-    } else {
-        // Gate disabled: leave no decision-path telemetry so traces
-        // stay bitwise identical to the always-full scheduler's.
-        lastPath_ = telemetry::DecisionPath::None;
-    }
 }
 
 SliceDecision

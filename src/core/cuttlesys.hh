@@ -208,38 +208,12 @@ class CuttleSysScheduler : public Scheduler
 
     CuttleSysOptions &options() { return options_; }
 
-    // --- fleet memo seam (src/cluster/memo) ---------------------------
-    /**
-     * Install a sibling's converged batch point as an extra search
-     * seed for the next *full* quantum (@p n must equal the batch job
-     * count). The seed is consumed (and cleared) by that quantum,
-     * which is then stamped DecisionPath::MemoSeeded; a fast-reuse
-     * quantum discards it, since the cached decision already fits.
-     */
-    void setMemoSeed(const std::uint16_t *point, std::size_t n);
-
-    /** How the most recent decideInto() produced its decision. */
-    telemetry::DecisionPath lastDecisionPath() const
-    {
-        return lastPath_;
-    }
-
-    /**
-     * The last full quantum's converged batch point (post-repair,
-     * pre-gating), one config index per batch job; empty before the
-     * first full quantum. This is what the fleet memo cache stores.
-     */
-    const std::vector<std::uint16_t> &cachedPoint() const
-    {
-        return cachedPoint_;
-    }
-
     /** Fast-reuse decisions served since construction. */
     std::uint64_t fastPathHits() const { return statFastHits_; }
-    /** Full decisions (including memo-seeded) since construction. */
+    /** Full decisions since construction. */
     std::uint64_t fullQuanta() const { return statFullQuanta_; }
-    /** Full decisions that consumed a memo seed. */
-    std::uint64_t memoSeededQuanta() const { return statMemoSeeded_; }
+    /** Always 0 (no memo cache); kept because cs_bench reads it. */
+    std::uint64_t memoSeededQuanta() const { return 0; }
 
   private:
     /** Fold profiling samples + previous measurements into engines. */
@@ -327,12 +301,8 @@ class CuttleSysScheduler : public Scheduler
     double anchorLoad_ = -1.0;     //!< load estimate at the last full
     double cachedBudgetW_ = 0.0;   //!< power budget at the last full
     DeltaEvaluator revalidator_;   //!< fast-path delta revalidation
-    std::vector<std::uint16_t> memoSeed_; //!< fleet seed; empty = none
-    bool memoSeedUsed_ = false;    //!< this quantum consumed the seed
-    telemetry::DecisionPath lastPath_ = telemetry::DecisionPath::None;
     std::uint64_t statFastHits_ = 0;
     std::uint64_t statFullQuanta_ = 0;
-    std::uint64_t statMemoSeeded_ = 0;
 };
 
 } // namespace cuttlesys

@@ -178,14 +178,8 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
     const CapEnforcement enforced =
         enforcePowerCap(out, searchPower_, power_budget);
 
-    // A pending memo seed described this quantum's quantized
-    // conditions; the cached decision already fits them.
-    memoSeed_.clear();
-    memoSeedUsed_ = false;
-
     ++sinceFull_;
     ++statFastHits_;
-    lastPath_ = telemetry::DecisionPath::FastReuse;
 
     if (telemetry::QuantumRecord *rec = traceRecord()) {
         rec->lcPath = lastLcPath_; // the cached quantum's path
@@ -238,30 +232,13 @@ CuttleSysScheduler::finishFullQuantum(const SliceContext &ctx,
                       params_.timesliceSec;
     }
 
-    lastPath_ = memoSeedUsed_ ? telemetry::DecisionPath::MemoSeeded
-                              : telemetry::DecisionPath::Full;
     ++statFullQuanta_;
-    if (memoSeedUsed_)
-        ++statMemoSeeded_;
-    memoSeedUsed_ = false;
 
     if (telemetry::QuantumRecord *rec = traceRecord()) {
-        rec->decisionPath = lastPath_;
+        rec->decisionPath = telemetry::DecisionPath::Full;
         rec->invalidationReason = why;
         rec->quantaSinceFull = 0;
     }
-}
-
-void
-CuttleSysScheduler::setMemoSeed(const std::uint16_t *point,
-                                std::size_t n)
-{
-    CS_ASSERT(point != nullptr, "null memo seed");
-    CS_ASSERT(n == numBatchJobs_, "memo seed dimensionality ", n,
-              " != batch jobs ", numBatchJobs_);
-    memoSeed_.resize(numBatchJobs_);
-    for (std::size_t j = 0; j < numBatchJobs_; ++j)
-        memoSeed_[j] = point[j];
 }
 
 } // namespace cuttlesys

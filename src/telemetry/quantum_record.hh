@@ -54,17 +54,16 @@ LcPath lcPathFromName(std::string_view name);
  * How the scheduler produced this quantum's decision. Full quanta run
  * the complete ingest → reconstruct → search pipeline; fast-reuse
  * quanta re-emit the cached schedule after the stability gate's
- * revalidation; memo-seeded quanta are full quanta whose search was
- * warm-started from the fleet memo cache. None means the scheduler
- * does not implement (or has disabled) the incremental path — the
- * JSONL sink omits the group entirely, keeping legacy traces bitwise.
+ * revalidation. None means the scheduler does not implement (or has
+ * disabled) the incremental path — the JSONL sink omits the group
+ * entirely, keeping legacy traces bitwise.
  */
 enum class DecisionPath : std::uint8_t
 {
     None = 0,   //!< legacy scheduler, or the stability gate disabled
     Full,       //!< complete reconstruct + search pipeline
     FastReuse,  //!< cached decision re-emitted through the gate
-    MemoSeeded, //!< full pipeline, search seeded from the memo cache
+    MemoSeeded, //!< never produced; kept because cs_bench names it
 };
 
 inline constexpr std::size_t kNumDecisionPaths = 4;
@@ -76,8 +75,8 @@ const char *decisionPathName(DecisionPath path);
 DecisionPath decisionPathFromName(std::string_view name);
 
 /**
- * Why the stability gate forced a full quantum (stamped on full /
- * memo-seeded quanta; None on fast-reuse quanta, whose gate passed).
+ * Why the stability gate forced a full quantum (stamped on full
+ * quanta; None on fast-reuse quanta, whose gate passed).
  */
 enum class InvalidationReason : std::uint8_t
 {

@@ -61,8 +61,7 @@ struct RunSummary
     /** Fast-reuse quanta as a fraction of gate-stamped quanta. */
     double fastPathHitRate() const
     {
-        const std::size_t full = pathCount(DecisionPath::Full) +
-                                 pathCount(DecisionPath::MemoSeeded);
+        const std::size_t full = pathCount(DecisionPath::Full);
         const std::size_t fast = pathCount(DecisionPath::FastReuse);
         const std::size_t total = full + fast;
         return total ? static_cast<double>(fast) / total : 0.0;

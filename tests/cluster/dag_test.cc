@@ -114,10 +114,14 @@ TEST(ArtifactIdTest, RootIdsFoldTheInstanceSeed)
     const ArtifactId a = artifactIdRoot("wf", "source", 1);
     const ArtifactId b = artifactIdRoot("wf", "source", 2);
     const ArtifactId c = artifactIdRoot("wf", "other", 1);
+    const ArtifactId d = artifactIdRoot("wf2", "source", 1);
     EXPECT_NE(a, 0u);
     EXPECT_NE(a, b); // distinct instances, distinct artifacts
     EXPECT_NE(a, c); // distinct tasks, distinct artifacts
+    EXPECT_NE(a, d); // distinct templates, distinct artifacts
     EXPECT_EQ(a, artifactIdRoot("wf", "source", 1)); // pure
+    // The empty name and a one-character name must not collide.
+    EXPECT_NE(artifactIdRoot("", "", 1), artifactIdRoot("a", "", 1));
 }
 
 TEST(ArtifactIdTest, DerivedIdsAreContentAddressed)
@@ -134,6 +138,26 @@ TEST(ArtifactIdTest, DerivedIdsAreContentAddressed)
     EXPECT_NE(a, artifactIdDerived("join", in2));
     EXPECT_NE(a, artifactIdDerived("join", in3));
     EXPECT_NE(a, artifactIdDerived("other", in1));
+}
+
+// The hash helpers under the artifact ids. The suite name dates from
+// when the schedule memo cache shared them.
+TEST(MemoHashTest, StringHashIsPureAndNameSensitive)
+{
+    EXPECT_EQ(hashString("masstree"), hashString("masstree"));
+    EXPECT_NE(hashString("masstree"), hashString("xapian"));
+    EXPECT_NE(hashString(""), hashString("a"));
+    // FNV-1a offset basis for the empty string.
+    EXPECT_EQ(hashString(""), 14695981039346656037ull);
+}
+
+TEST(MemoHashTest, CombineIsPureAndOrderSensitive)
+{
+    const std::uint64_t a = hashCombine(0, 1);
+    EXPECT_EQ(a, hashCombine(0, 1));
+    EXPECT_NE(hashCombine(a, 2), hashCombine(a, 3));
+    EXPECT_NE(hashCombine(hashCombine(0, 1), 2),
+              hashCombine(hashCombine(0, 2), 1));
 }
 
 // ---------------------------------------------------------------------

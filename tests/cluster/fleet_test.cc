@@ -141,14 +141,50 @@ TEST(FleetTest, SameSeedReplaysBitIdentically)
     FleetOptions opts = smallFleetOptions();
     opts.sink = &sinkA;
     SmallFleet a(opts);
-    a.fleet.run();
+    const FleetSummary sa = a.fleet.run();
     opts.sink = &sinkB;
     SmallFleet b(opts);
-    b.fleet.run();
+    const FleetSummary sb = b.fleet.run();
     const check::TraceDiff diff =
         check::diffDecisionTraces(sinkA.records(), sinkB.records());
     EXPECT_TRUE(diff.identical()) << diff.toString();
     EXPECT_GT(diff.comparedFields, 0u);
+    EXPECT_EQ(sa.fastPathHits, sb.fastPathHits);
+    EXPECT_EQ(sa.fullQuanta, sb.fullQuanta);
+    // The decision split covers every node-quantum exactly once.
+    EXPECT_EQ(sa.fastPathHits + sa.fullQuanta, sa.quanta * sa.numNodes);
+}
+
+// A four-node repeat of the diurnal churn day. The suite name dates
+// from the schedule memo cache; the memo counters FleetSummary still
+// carries for the benchmark must replay too, and stay 0.
+TEST(MemoCacheTest, FleetRepeatRunReplaysBitwiseWithMemoOn)
+{
+    telemetry::MemorySink sink1, sink2;
+    FleetOptions opts = smallFleetOptions();
+    opts.numNodes = 4;
+    opts.sink = &sink1;
+    SmallFleet f1(opts);
+    const FleetSummary s1 = f1.fleet.run();
+    opts.sink = &sink2;
+    SmallFleet f2(opts);
+    const FleetSummary s2 = f2.fleet.run();
+
+    const check::TraceDiff diff =
+        check::diffDecisionTraces(sink1.records(), sink2.records());
+    EXPECT_TRUE(diff.identical()) << diff.toString();
+    EXPECT_EQ(s1.fastPathHits, s2.fastPathHits);
+    EXPECT_EQ(s1.fullQuanta, s2.fullQuanta);
+    EXPECT_EQ(s1.memoSeededQuanta, s2.memoSeededQuanta);
+    EXPECT_EQ(s1.memoLookups, s2.memoLookups);
+    EXPECT_EQ(s1.memoHits, s2.memoHits);
+    EXPECT_EQ(s1.memoStores, s2.memoStores);
+    EXPECT_EQ(s1.memoSeededQuanta + s1.memoLookups + s1.memoHits +
+                  s1.memoStores,
+              0u);
+    // The decision split covers every node-quantum exactly once.
+    EXPECT_EQ(s1.fastPathHits + s1.fullQuanta,
+              s1.quanta * s1.numNodes);
 }
 
 std::vector<TenantSpec>

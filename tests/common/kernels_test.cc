@@ -6,8 +6,7 @@
  * detail::*Scalar perform the identical additions in the identical
  * order, so their results agree bit for bit — not approximately —
  * for every length, including the awkward remainders around the lane
- * width. These tests compare the two detail paths directly, so they
- * hold in both the default and the CS_KERNEL_SCALAR build.
+ * width. These tests compare the two detail paths directly.
  */
 
 #include <bit>
@@ -220,13 +219,9 @@ TEST(Kernels, LogGatherSumVecMatchesScalarBitwise)
 
 TEST(Kernels, PublicDispatchMatchesDeclaredBackend)
 {
-    // The public entry points must route to the path backendName()
-    // advertises; both paths agree bitwise anyway (above), so it is
-    // enough to check the name/flag wiring is consistent.
-    if (kernels::kScalarBuild)
-        EXPECT_STREQ(kernels::backendName(), "scalar");
-    else
-        EXPECT_STREQ(kernels::backendName(), "vector");
+    // The public entry points route to the lane-blocked vector path,
+    // which must agree bitwise with the scalar reference.
+    EXPECT_STREQ(kernels::backendName(), "vector");
 
     Rng rng(43);
     const auto a = randomVector(33, rng);

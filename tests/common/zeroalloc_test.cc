@@ -23,7 +23,6 @@
 #include "cluster/churn.hh"
 #include "cluster/dag/artifact_cache.hh"
 #include "cluster/dag/workflow.hh"
-#include "cluster/memo.hh"
 #include "cluster/node.hh"
 #include "cluster/placement.hh"
 #include "cluster/power_manager.hh"
@@ -244,22 +243,6 @@ TEST(ZeroAlloc, FastReuseQuantumIsHeapFree)
         << allocs << " times over " << kMeasured << " quanta";
     EXPECT_GT(node.scheduler().fastPathHits(), hitsBefore)
         << "the measured window must contain fast-reuse quanta";
-}
-
-TEST(ZeroAlloc, MemoCacheFindAndStoreAreHeapFree)
-{
-    // The fleet memo table allocates only in reset(); the per-quantum
-    // find/store pair is pure array arithmetic.
-    cluster::ScheduleMemoCache memo(64, 16);
-    std::uint16_t point[16] = {};
-    const std::uint64_t before = AllocProbe::newCount();
-    for (std::uint64_t k = 1; k <= 256; ++k) {
-        point[0] = static_cast<std::uint16_t>(k);
-        memo.store(k * 0x9e3779b97f4a7c15ULL, point);
-        memo.find(k * 0x9e3779b97f4a7c15ULL);
-        memo.find(k);
-    }
-    EXPECT_EQ(AllocProbe::newCount() - before, 0u);
 }
 
 /**

@@ -226,32 +226,6 @@ TEST(FastPathTest, PendingYieldForcesFullQuantum)
                           InvalidationReason::LcSlack), 1u);
 }
 
-TEST(FastPathTest, MemoSeedStampsMemoSeededQuantum)
-{
-    const SystemParams params;
-    const WorkloadMix mix = makeTestMix();
-    CuttleSysScheduler sched(params, testTrainingTables(0),
-                             mix.batch.size(), mix.lc.qosSeconds(),
-                             gateOptions());
-    std::vector<std::uint16_t> point(mix.batch.size(), 0);
-    sched.setMemoSeed(point.data(), point.size());
-
-    telemetry::QuantumTrace trace;
-    sched.attachTrace(&trace);
-    SliceContext ctx;
-    ctx.powerBudgetW = 100.0;
-    ctx.lcQosSec = mix.lc.qosSeconds();
-    trace.begin(0, 0.0);
-    sched.decide(ctx);
-    EXPECT_EQ(trace.record().decisionPath, DecisionPath::MemoSeeded);
-    EXPECT_EQ(trace.record().invalidationReason,
-              InvalidationReason::Cold);
-    trace.end();
-    sched.attachTrace(nullptr);
-    EXPECT_EQ(sched.memoSeededQuanta(), 1u);
-    EXPECT_EQ(sched.lastDecisionPath(), DecisionPath::MemoSeeded);
-}
-
 TEST(FastPathTest, DisabledGateStampsNothing)
 {
     CuttleSysOptions sched = fastCuttleSysOptions();

@@ -657,7 +657,6 @@ class Linter
         // must be a pure counter hash / pure function of replayable
         // state, or the fleet trace stops replaying bitwise.
         if (file.path != "src/core/fastpath.cc" &&
-            file.path != "src/cluster/memo.cc" &&
             file.path != "src/cluster/dag/workflow.cc" &&
             file.path != "src/cluster/dag/artifact_cache.cc" &&
             file.path != "src/cluster/dag/scorer.cc")
