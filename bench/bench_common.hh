@@ -20,11 +20,13 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/gallery.hh"
 #include "apps/mix.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "core/cuttlesys.hh"
 #include "core/training.hh"
 #include "lcsim/calibrate.hh"
@@ -153,6 +155,28 @@ driverOptions(double cap_fraction, double load_fraction = 0.8,
     opts.powerPattern = LoadPattern::constant(cap_fraction);
     opts.maxPowerW = maxPowerW();
     return opts;
+}
+
+/**
+ * Write where a BENCH_*.json's numbers came from — compiler, visible
+ * cores, the global pool's width and the CS_POOL_THREADS that sized
+ * it (null when unset), and the repetitions behind each point — as
+ * one `"provenance": {...},` line of the enclosing JSON object.
+ */
+inline void
+writeProvenance(std::FILE *f, std::size_t quanta_per_point)
+{
+    const char *poolEnv = std::getenv("CS_POOL_THREADS");
+    const char *quote = poolEnv ? "\"" : "";
+    std::fprintf(f,
+                 "  \"provenance\": {\"compiler\": \"%s\", "
+                 "\"hardware_concurrency\": %u, "
+                 "\"pool_threads\": %zu, "
+                 "\"cs_pool_threads\": %s%s%s, "
+                 "\"quanta_per_point\": %zu},\n",
+                 __VERSION__, std::thread::hardware_concurrency(),
+                 ThreadPool::global().size(), quote,
+                 poolEnv ? poolEnv : "null", quote, quanta_per_point);
 }
 
 /** Bench banner: which figure/table, what the paper reported. */

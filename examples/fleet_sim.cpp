@@ -29,13 +29,14 @@
  * reference).
  *
  * With --tenants the comparison switches from placement policies to
- * queue disciplines: three accounts with skewed arrival weights but
- * equal fair-share entitlements submit into the same churn stream,
- * and the same fleet runs once under the legacy strict-FIFO queue and
- * once under fair-share ordering with class-strict preemption. The
- * per-tenant accounting table shows what each account got; the
- * fair-share run's trace lands in fleet_tenants_trace.jsonl (feed it
- * to tools/sacct for the offline accounting view).
+ * queue disciplines: the same churn stream runs once with no tenants
+ * — a single anonymous account, whose fair-share queue is exactly
+ * FIFO — and once with three accounts of skewed arrival weights but
+ * equal fair-share entitlements, under fair-share ordering with
+ * class-strict preemption. The per-tenant accounting table shows
+ * what each account got; the three-tenant run's trace lands in
+ * fleet_tenants_trace.jsonl (feed it to tools/sacct for the offline
+ * accounting view).
  *
  * With --dag the churn stream also submits DAG workflows (chains,
  * diamonds, map/reduce fans from dag::standardWorkflowTemplates())
@@ -250,10 +251,11 @@ main(int argc, char **argv)
                     .quanta(params.timesliceSec));
 
     if (tenantsMode) {
-        // Same fleet, same churn/account stream, two queue
-        // disciplines: the legacy strict-FIFO order (newcomers drop
-        // at the cap, no preemption) against fair-share ordering with
-        // class-strict preemption. Placement is backfill in both.
+        // Same fleet, same churn stream, two queue disciplines: a
+        // single anonymous tenant (its fair-share order is FIFO:
+        // newcomers drop at the cap, nothing is preempted) against
+        // three tenants under fair-share ordering with class-strict
+        // preemption. Placement is backfill in both.
         // Queue discipline only matters under contention, so the
         // tenant day runs hotter than the placement comparison:
         // arrivals (1.5N/quantum) outpace departures (0.03/slot,
@@ -267,12 +269,10 @@ main(int argc, char **argv)
         fifoOpts.churn.meanArrivalsPerQuantum =
             1.5 * static_cast<double>(nodes);
         fifoOpts.churn.maxPendingJobs = 2 * nodes;
-        fifoOpts.tenants = makeTenants();
-        fifoOpts.fairShareOrdering = false;
         FleetController fifoFleet(params, tables, lc, split.test,
                                   node_max_w, backfill, fifoOpts);
         const FleetSummary fifoSummary = fifoFleet.run();
-        std::printf("--- strict FIFO queue (baseline) ---\n");
+        std::printf("--- single-tenant FIFO queue (baseline) ---\n");
         printSummary(fifoSummary);
         printAccounts(fifoSummary);
 
@@ -314,7 +314,7 @@ main(int argc, char **argv)
                     ginstrDelta);
         sink.flush();
         std::printf("\nwrote fleet_tenants_trace.jsonl (%zu records, "
-                    "fair-share run)\n", sink.written());
+                    "three-tenant run)\n", sink.written());
         return 0;
     }
 

@@ -1,6 +1,7 @@
 #include "cluster/fleet.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "apps/mix.hh"
@@ -31,7 +32,32 @@ withTenantWeights(ChurnOptions churn,
     return churn;
 }
 
+/** The clock behind FleetController::lastStepSeconds(). */
+std::chrono::steady_clock::time_point
+stepClock()
+{
+    // Telemetry-only wall clock: step timings are recorded for
+    // benches and never read back by any decision path.
+    // cslint: allow(wall-clock)
+    return std::chrono::steady_clock::now();
+}
+
 } // namespace
+
+const char *
+stepPhaseName(StepPhase phase)
+{
+    switch (phase) {
+      case StepPhase::Churn: return "churn";
+      case StepPhase::Gather: return "gather";
+      case StepPhase::Place: return "place";
+      case StepPhase::Power: return "power";
+      case StepPhase::Shift: return "shift";
+      case StepPhase::NodeStep: return "node-step";
+      case StepPhase::Account: return "account";
+    }
+    return "?";
+}
 
 FleetController::FleetController(const SystemParams &params,
                                  const TrainingTables &tables,
@@ -415,20 +441,13 @@ FleetController::admitArrival(PendingJob &&job)
         pending_.push_back(std::move(job));
         return;
     }
-    if (!opts_.fairShareOrdering) {
-        // Legacy FIFO admission: the newcomer always loses — the
-        // starvation behavior the drop-lowest path below fixes.
-        ++droppedArrivals_;
-        ledger_.recordDropNew(static_cast<std::size_t>(job.account));
-        return;
-    }
 
     // Drop-lowest admission: the newcomer only loses to a queue whose
     // every entry outranks it. The worst incumbent is the last job
     // the commit order would reach — lowest priority, ties to the
     // youngest (highest sequence). With a single uniform tenant the
     // newcomer is always the worst (age 0 and the highest sequence),
-    // reproducing the legacy drop exactly.
+    // so it is the one dropped, exactly as a FIFO queue would.
     const double newPrio = ledger_.priority(
         static_cast<std::size_t>(job.account), job.qosClass,
         job.submitSlice, quantum_);
@@ -501,17 +520,13 @@ FleetController::placePending()
             p.submitSlice, quantum_);
         order_[i] = static_cast<std::uint32_t>(i);
     }
-    if (opts_.fairShareOrdering) {
-        std::sort(order_.begin(), order_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      if (prio_[a] != prio_[b])
-                          return prio_[a] > prio_[b];
-                      return pending_[a].arrivalSeq <
-                          pending_[b].arrivalSeq;
-                  });
-    }
-    // else: admission never reorders pending_, so the identity order
-    // is the submission (FIFO) order.
+    std::sort(order_.begin(), order_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  if (prio_[a] != prio_[b])
+                      return prio_[a] > prio_[b];
+                  return pending_[a].arrivalSeq <
+                      pending_[b].arrivalSeq;
+              });
 
     // Data-gravity deltas: for every pending dag task with inputs,
     // score each node's resident input-byte fraction into a delta row
@@ -593,12 +608,8 @@ FleetController::placePending()
             // DAG tasks never initiate preemption: their class comes
             // from their tenant, but releasing compute by evicting
             // compute would thrash the frontier. They wait.
-            if (opts_.fairShareOrdering && !dagJob &&
-                tryPreempt(job, prio_[idx])) {
+            if (!dagJob && tryPreempt(job, prio_[idx]))
                 placed_[idx] = 1;
-            } else if (!opts_.fairShareOrdering) {
-                break; // legacy FIFO: the head job blocks the queue
-            }
             continue;
         }
         CS_ASSERT(target < nodes_.size(), "policy chose a bad node");
@@ -674,8 +685,8 @@ FleetController::placePending()
         placed_[idx] = 1;
     }
 
-    // Compact the unplaced entries in place — stable, so the FIFO
-    // baseline keeps submission order. Entries past placed_'s range
+    // Compact the unplaced entries in place — stable, so equal
+    // priorities keep submission order. Entries past placed_'s range
     // are this quantum's re-queued preemption victims: always kept
     // (they re-enter the priority order next quantum with their
     // original submit quantum, i.e. all their accrued age).
@@ -908,15 +919,28 @@ void
 FleetController::stepQuantum()
 {
     CS_ASSERT(!done(), "stepQuantum() past the configured day");
+    std::chrono::steady_clock::time_point mark = stepClock();
+    const auto lap = [this, &mark](StepPhase phase) {
+        const std::chrono::steady_clock::time_point now = stepClock();
+        stepSec_[static_cast<std::size_t>(phase)] =
+            std::chrono::duration<double>(now - mark).count();
+        mark = now;
+    };
+
     // Decay usage and recompute fair-share once, up front, so
     // admission, ordering, and preemption all see factors reflecting
     // consumption through the previous quantum.
     ledger_.beginQuantum();
     applyChurn();
+    lap(StepPhase::Churn);
     gatherViews();
+    lap(StepPhase::Gather);
     placePending();
+    lap(StepPhase::Place);
     splitBudget();
+    lap(StepPhase::Power);
     shiftLoad();
+    lap(StepPhase::Shift);
 
     // The parallel region: nodes are fully independent (each owns its
     // sim, scheduler, and stepper), so any pool width produces the
@@ -926,8 +950,10 @@ FleetController::stepQuantum()
     ThreadPool::global().parallelFor(
         nodes.size(),
         [&nodes](std::size_t i) { nodes[i]->step(); });
+    lap(StepPhase::NodeStep);
 
     gatherQuantum();
+    lap(StepPhase::Account);
     ++quantum_;
 }
 

@@ -51,6 +51,7 @@
 #ifndef CUTTLESYS_CLUSTER_FLEET_HH
 #define CUTTLESYS_CLUSTER_FLEET_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -129,13 +130,6 @@ struct FleetOptions
     std::vector<TenantSpec> tenants;
     /** Ledger tuning: usage half-life, aging, class weights. */
     AccountingOptions accounting;
-    /**
-     * Order the pending queue by fair-share priority and allow
-     * class-strict preemption. False freezes the legacy strict-FIFO
-     * queue (drop-the-newcomer at capacity, no preemption) — the
-     * baseline the tenant experiment compares against.
-     */
-    bool fairShareOrdering = true;
     /** Cap on preemption evictions per cluster quantum. */
     std::size_t maxPreemptionsPerQuantum = 8;
 
@@ -216,8 +210,8 @@ struct FleetSummary
     std::size_t arrivals = 0;        //!< submissions accepted
     std::size_t droppedArrivals = 0; //!< newcomers rejected at the cap
     /** Queued entries displaced at the cap by a higher-priority
-     *  newcomer (0 under legacy FIFO ordering, which always rejects
-     *  the newcomer — the starvation bug this field's path fixes). */
+     *  newcomer (always 0 with a single uniform tenant, whose
+     *  newcomer always ranks worst). */
     std::size_t droppedQueued = 0;
     std::size_t departures = 0;
     std::size_t placements = 0;      //!< jobs placed onto a node
@@ -252,6 +246,29 @@ struct FleetSummary
      *  anonymous default account). */
     std::vector<AccountSummary> accounts;
 };
+
+/**
+ * Where one stepQuantum() spends its wall time, in call order: the
+ * five controller phases (Churn includes the ledger's quantum head),
+ * the parallel node step, and the accounting + trace gather.
+ */
+enum class StepPhase : std::size_t
+{
+    Churn,
+    Gather,
+    Place,
+    Power,
+    Shift,
+    NodeStep,
+    Account,
+};
+constexpr std::size_t kNumStepPhases = 7;
+
+/** Short printable name of @p phase. */
+const char *stepPhaseName(StepPhase phase);
+
+/** Wall seconds per StepPhase, indexed by the enum's value. */
+using StepSeconds = std::array<double, kNumStepPhases>;
 
 /** The cluster controller (see file header for the quantum loop). */
 class FleetController
@@ -294,6 +311,13 @@ class FleetController
 
     /** Aggregate the quanta run so far into a FleetSummary. */
     FleetSummary summary();
+
+    /**
+     * Per-phase wall seconds of the last stepQuantum() (all 0 before
+     * the first). Telemetry only: recorded, never read by a decision,
+     * and outside FleetSummary and the trace, so replay is unaffected.
+     */
+    const StepSeconds &lastStepSeconds() const { return stepSec_; }
 
     /** Jobs currently waiting in the arrival queue. */
     std::size_t pendingJobs() const { return pending_.size(); }
@@ -388,6 +412,7 @@ class FleetController
 
     std::size_t numQuanta_ = 0;
     std::size_t quantum_ = 0;
+    StepSeconds stepSec_{};
 
     // Persistent per-quantum scratch (heap-free steady state). The
     // parallel phase scans stage variable-length results in

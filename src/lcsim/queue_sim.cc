@@ -58,18 +58,22 @@ LcQueueSim::reset(const AppProfile &profile, std::size_t num_servers,
 void
 LcQueueSim::reserveFor(double qps, double duration)
 {
-    // Amortized-headroom growth for the event buffers: reserve twice
-    // the window's expected arrivals up front. push_back's exact
-    // doubling would still occasionally realloc quanta later when a
-    // noisy window sets a new high-water; with 2x headroom the
-    // buffers settle during warm-up and the steady state stays
-    // heap-free.
+    // Amortized-headroom growth for the event buffers: when the
+    // expected arrivals no longer fit, reserve twice that. push_back's
+    // exact doubling would still occasionally realloc quanta later
+    // when a noisy window sets a new high-water, and so would
+    // reserving 2x on every call, one element past the last fit,
+    // whenever a phase starts with a few completions already in the
+    // window. Growing only on a 1x miss lets the buffers settle during
+    // warm-up, and the steady state stays heap-free.
     if (qps <= 0.0)
         return;
-    const std::size_t want =
-        static_cast<std::size_t>(2.0 * qps * duration) + 64;
-    pending_.reserve(want);
-    window_.reserve(window_.size() + want);
+    const std::size_t expected =
+        static_cast<std::size_t>(qps * duration) + 64;
+    if (expected > pending_.capacity())
+        pending_.reserve(2 * expected);
+    if (window_.size() + expected > window_.capacity())
+        window_.reserve(window_.size() + 2 * expected);
 }
 
 void

@@ -23,6 +23,7 @@
 #include "cluster/churn.hh"
 #include "cluster/dag/artifact_cache.hh"
 #include "cluster/dag/workflow.hh"
+#include "cluster/fleet.hh"
 #include "cluster/node.hh"
 #include "cluster/placement.hh"
 #include "cluster/power_manager.hh"
@@ -33,6 +34,7 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "config/job_config.hh"
+#include "power/power_model.hh"
 #include "search/dds.hh"
 #include "../core/core_fixture.hh"
 
@@ -243,6 +245,58 @@ TEST(ZeroAlloc, FastReuseQuantumIsHeapFree)
         << allocs << " times over " << kMeasured << " quanta";
     EXPECT_GT(node.scheduler().fastPathHits(), hitsBefore)
         << "the measured window must contain fast-reuse quanta";
+}
+
+TEST(ZeroAlloc, FleetQuiescentQuantumIsHeapFree)
+{
+    // The shipped controller end to end: a real FleetController's
+    // untraced steady-state quantum — every control phase, the
+    // parallel node step, and the accounting gather — must not touch
+    // the heap, as fleet.hh promises. Churn is off and the offered
+    // load is flat; the stability gate keeps its default (on). As in
+    // the node gates above, the load-change threshold is widened: at
+    // constant load it can still fire off completion-count noise, and
+    // the cold restart it forces legitimately allocates.
+    setInformEnabled(false);
+    const SystemParams params;
+    const TrainTestSplit split = splitSpecGallery();
+    cluster::FleetOptions opts;
+    opts.numNodes = 4;
+    opts.seed = 11;
+    opts.scenario.daySeconds = 7.0;
+    opts.scenario.loadTrough = 0.45;
+    opts.scenario.loadPeak = 0.45;
+    opts.loadScaleMin = 1.0;
+    opts.loadScaleMax = 1.0;
+    opts.churn.departureProbability = 0.0;
+    opts.churn.meanArrivalsPerQuantum = 0.0;
+    opts.scheduler = fastCuttleSysOptions();
+    opts.scheduler.loadChangeThreshold = 1.0;
+    cluster::BackfillBinPack placement;
+    cluster::FleetController fleet(params, testTrainingTables(),
+                                   calibratedTailbench()[0], split.test,
+                                   systemMaxPower(split.test, params),
+                                   placement, opts);
+
+    // A long warm-up. Buffers size themselves the first time a node
+    // reaches each decision leg (full search, fast reuse, forced
+    // refresh, budget re-fit) or LC queue-sim shape (a slice opening
+    // with holdover completions), and when that happens is
+    // data-dependent, not a fixed prefix. This fleet is heap-free
+    // from its third quantum; 50 keep the gate clear of warm-up under
+    // other seeds and tunings.
+    for (int q = 0; q < 50; ++q)
+        fleet.stepQuantum();
+
+    constexpr int kMeasured = 16;
+    const std::uint64_t before = AllocProbe::newCount();
+    for (int q = 0; q < kMeasured; ++q)
+        fleet.stepQuantum();
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(allocs, 0u)
+        << "steady-state fleet quantum touched the heap " << allocs
+        << " times over " << kMeasured << " quanta";
 }
 
 /**
