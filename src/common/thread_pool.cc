@@ -128,10 +128,13 @@ ThreadPool::workerLoop()
                 runIndex(*batch, i);
                 i = batch->next.fetch_add(1);
             } while (i < batch->n);
+            // Re-lock before the batch reference dies. acquireBatch
+            // reads use_count() under mutex_, and that read is
+            // relaxed: only dropping the reference under the same
+            // mutex orders this thread's last reads of the record
+            // before the thread that recycles it resets its fields.
+            lock.lock();
         }
-        // The batch reference died before re-locking, so a retired
-        // record's refcount can fall to 1 and be recycled.
-        lock.lock();
     }
 }
 

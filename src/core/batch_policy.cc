@@ -1,7 +1,6 @@
 #include "core/batch_policy.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -10,11 +9,8 @@ namespace cuttlesys {
 
 namespace {
 
-double
-logBips(const Matrix &bips, std::size_t j, std::size_t c)
-{
-    return std::log(std::max(bips(j, c), 1e-6));
-}
+/** bestCfg value of a job with no affordable upgrade. */
+constexpr std::uint16_t kNoUpgrade = 0xffff;
 
 /**
  * Best-gain-per-cost upgrade rounds shared by the greedy warm start
@@ -23,14 +19,34 @@ logBips(const Matrix &bips, std::size_t j, std::size_t c)
  * cost until neither budget admits another move. @p used_power /
  * @p used_ways must be the point's current totals and are updated in
  * place.
+ *
+ * Each round picks the first strict maximum in (job, config) order,
+ * which is the first strict maximum over jobs of each job's own first
+ * strict maximum over configs. The rounds cache that per-job best in
+ * @p scratch and rescan a job only when its cached best can have
+ * changed. A job's gains depend on its own config alone, never on the
+ * totals; the totals only decide which upgrades are affordable. So
+ * after an upgrade:
+ *  - the upgraded job is rescanned (its gains moved);
+ *  - an upgrade that freed power or ways can make any job's
+ *    unaffordable moves affordable, so every job is rescanned;
+ *  - otherwise both totals only grew (rounded addition is monotone),
+ *    every job's affordable set only narrowed, and a cached best
+ *    that is still affordable is still the first maximum of its
+ *    narrowed set. Only jobs whose cached best became unaffordable
+ *    are rescanned.
+ * The moves bought are therefore exactly those of a full rescan every
+ * round, bit for bit.
  */
 void
-upgradeRounds(Point &x, const Matrix &bips, const Matrix &power,
+upgradeRounds(Point &x, const PreparedObjective &prep,
               double power_budget, double cache_budget,
-              double &used_power, double &used_ways)
+              double &used_power, double &used_ways,
+              UpgradeScratch &scratch)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prep.numJobs();
+    const std::size_t configs = prep.numConfigs();
+    const double *ways = prep.waysTable();
 
     // Ways are priced far below their power-equivalent exchange rate:
     // the hard feasibility checks below keep both budgets respected,
@@ -40,63 +56,106 @@ upgradeRounds(Point &x, const Matrix &bips, const Matrix &power,
     const double way_rate =
         cache_budget > 0.0 ? 0.1 * power_budget / cache_budget : 1e9;
 
+    const auto affordable = [&](double d_power, double d_ways) {
+        return !(used_power + d_power > power_budget ||
+                 used_ways + d_ways > cache_budget);
+    };
+    const auto scan = [&](std::size_t j) {
+        const double *log_bips = prep.logTable() + j * configs;
+        const double *power = prep.powerTable() + j * configs;
+        const std::size_t cur = x[j];
+        double best_gain = 0.0;
+        std::uint16_t best_cfg = kNoUpgrade;
+        for (std::size_t c = 0; c < configs; ++c) {
+            const double benefit = log_bips[c] - log_bips[cur];
+            if (benefit <= 0.0)
+                continue;
+            const double d_power = power[c] - power[cur];
+            const double d_ways = ways[c] - ways[cur];
+            if (!affordable(d_power, d_ways))
+                continue;
+            const double cost = std::max(d_power, 0.0) +
+                                way_rate * std::max(d_ways, 0.0) +
+                                1e-6;
+            const double gain = benefit / cost;
+            if (gain > best_gain) {
+                best_gain = gain;
+                best_cfg = static_cast<std::uint16_t>(c);
+            }
+        }
+        scratch.bestGain[j] = best_gain;
+        scratch.bestCfg[j] = best_cfg;
+    };
+
+    scratch.bestGain.resize(jobs);
+    scratch.bestCfg.resize(jobs);
+    for (std::size_t j = 0; j < jobs; ++j)
+        scan(j);
+
     for (std::size_t round = 0; round < jobs * configs; ++round) {
         double best_gain = 0.0;
         std::size_t best_job = jobs;
-        std::size_t best_cfg = 0;
         for (std::size_t j = 0; j < jobs; ++j) {
-            const std::size_t cur = x[j];
-            for (std::size_t c = 0; c < configs; ++c) {
-                const double benefit =
-                    logBips(bips, j, c) - logBips(bips, j, cur);
-                if (benefit <= 0.0)
-                    continue;
-                const double d_power = power(j, c) - power(j, cur);
-                const double d_ways =
-                    JobConfig::fromIndex(c).cacheWays() -
-                    JobConfig::fromIndex(cur).cacheWays();
-                if (used_power + d_power > power_budget ||
-                    used_ways + d_ways > cache_budget)
-                    continue;
-                const double cost = std::max(d_power, 0.0) +
-                                    way_rate * std::max(d_ways, 0.0) +
-                                    1e-6;
-                const double gain = benefit / cost;
-                if (gain > best_gain) {
-                    best_gain = gain;
-                    best_job = j;
-                    best_cfg = c;
-                }
+            if (scratch.bestGain[j] > best_gain) {
+                best_gain = scratch.bestGain[j];
+                best_job = j;
             }
         }
         if (best_job == jobs)
             break;
-        used_power +=
-            power(best_job, best_cfg) - power(best_job, x[best_job]);
-        used_ways += JobConfig::fromIndex(best_cfg).cacheWays() -
-                     JobConfig::fromIndex(x[best_job]).cacheWays();
-        x[best_job] = static_cast<std::uint16_t>(best_cfg);
+        const std::size_t to = scratch.bestCfg[best_job];
+        const std::size_t from = x[best_job];
+        const double d_power =
+            prep.power(best_job, to) - prep.power(best_job, from);
+        const double d_ways = ways[to] - ways[from];
+        used_power += d_power;
+        used_ways += d_ways;
+        x[best_job] = static_cast<std::uint16_t>(to);
+
+        if (d_power < 0.0 || d_ways < 0.0) {
+            for (std::size_t j = 0; j < jobs; ++j)
+                scan(j);
+            continue;
+        }
+        scan(best_job);
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const std::size_t c = scratch.bestCfg[j];
+            if (j == best_job || c == kNoUpgrade)
+                continue;
+            if (!affordable(prep.power(j, c) - prep.power(j, x[j]),
+                            ways[c] - ways[x[j]]))
+                scan(j);
+        }
+    }
+}
+
+/** Sum the point's predicted power and way usage in job order. */
+void
+pointTotals(const Point &point, const PreparedObjective &prep,
+            double &used_power, double &used_ways)
+{
+    used_power = 0.0;
+    used_ways = 0.0;
+    for (std::size_t j = 0; j < point.size(); ++j) {
+        used_power += prep.power(j, point[j]);
+        used_ways += prep.ways(point[j]);
     }
 }
 
 } // namespace
 
 WayRepair
-repairWayOvercommit(Point &point, const Matrix &bips,
-                    const Matrix &power, double power_budget,
-                    double cache_budget)
+repairWayOvercommit(Point &point, const PreparedObjective &prep,
+                    double power_budget, double cache_budget)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prep.numJobs();
+    const std::size_t configs = prep.numConfigs();
     CS_ASSERT(point.size() == jobs, "point shape mismatch");
 
     WayRepair repair;
     double used_power = 0.0;
     double used_ways = 0.0;
-    for (std::size_t j = 0; j < jobs; ++j) {
-        used_power += power(j, point[j]);
-        used_ways += JobConfig::fromIndex(point[j]).cacheWays();
-    }
+    pointTotals(point, prep, used_power, used_ways);
 
     // Repeatedly take the downgrade that frees ways at the least
     // log-throughput cost, preferring moves that keep the power
@@ -108,14 +167,13 @@ repairWayOvercommit(Point &point, const Matrix &bips,
         bool best_power_ok = false;
         for (std::size_t j = 0; j < jobs; ++j) {
             const std::size_t cur = point[j];
-            const double cur_ways =
-                JobConfig::fromIndex(cur).cacheWays();
+            const double cur_ways = prep.ways(cur);
             for (std::size_t c = 0; c < configs; ++c) {
-                const double d_ways =
-                    JobConfig::fromIndex(c).cacheWays() - cur_ways;
+                const double d_ways = prep.ways(c) - cur_ways;
                 if (d_ways >= 0.0)
                     continue;
-                const double d_power = power(j, c) - power(j, cur);
+                const double d_power =
+                    prep.power(j, c) - prep.power(j, cur);
                 const bool power_ok =
                     used_power + d_power <= power_budget ||
                     d_power <= 0.0;
@@ -124,7 +182,7 @@ repairWayOvercommit(Point &point, const Matrix &bips,
                 if (best_power_ok && !power_ok)
                     continue;
                 const double loss =
-                    logBips(bips, j, cur) - logBips(bips, j, c);
+                    prep.logBips(j, cur) - prep.logBips(j, c);
                 const double ratio = loss / -d_ways;
                 if ((power_ok && !best_power_ok) ||
                     ratio < best_ratio) {
@@ -137,11 +195,10 @@ repairWayOvercommit(Point &point, const Matrix &bips,
         }
         if (best_job == jobs)
             break; // every job already at its smallest allocation
-        used_power += power(best_job, best_cfg) -
-                      power(best_job, point[best_job]);
+        used_power += prep.power(best_job, best_cfg) -
+                      prep.power(best_job, point[best_job]);
         const double d_ways =
-            JobConfig::fromIndex(best_cfg).cacheWays() -
-            JobConfig::fromIndex(point[best_job]).cacheWays();
+            prep.ways(best_cfg) - prep.ways(point[best_job]);
         used_ways += d_ways;
         repair.freedWays -= d_ways;
         point[best_job] = static_cast<std::uint16_t>(best_cfg);
@@ -152,21 +209,17 @@ repairWayOvercommit(Point &point, const Matrix &bips,
 }
 
 PowerRepair
-repairPowerOvercommit(Point &point, const Matrix &bips,
-                      const Matrix &power, double power_budget,
-                      double cache_budget)
+repairPowerOvercommit(Point &point, const PreparedObjective &prep,
+                      double power_budget, double cache_budget)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prep.numJobs();
+    const std::size_t configs = prep.numConfigs();
     CS_ASSERT(point.size() == jobs, "point shape mismatch");
 
     PowerRepair repair;
     double used_power = 0.0;
     double used_ways = 0.0;
-    for (std::size_t j = 0; j < jobs; ++j) {
-        used_power += power(j, point[j]);
-        used_ways += JobConfig::fromIndex(point[j]).cacheWays();
-    }
+    pointTotals(point, prep, used_power, used_ways);
     const double start_power = used_power;
 
     // Repeatedly take the downgrade that sheds watts at the least
@@ -178,18 +231,17 @@ repairPowerOvercommit(Point &point, const Matrix &bips,
         double best_ratio = std::numeric_limits<double>::infinity();
         for (std::size_t j = 0; j < jobs; ++j) {
             const std::size_t cur = point[j];
-            const double cur_ways =
-                JobConfig::fromIndex(cur).cacheWays();
+            const double cur_ways = prep.ways(cur);
             for (std::size_t c = 0; c < configs; ++c) {
-                const double d_power = power(j, c) - power(j, cur);
+                const double d_power =
+                    prep.power(j, c) - prep.power(j, cur);
                 if (d_power >= 0.0)
                     continue;
-                const double d_ways =
-                    JobConfig::fromIndex(c).cacheWays() - cur_ways;
+                const double d_ways = prep.ways(c) - cur_ways;
                 if (used_ways + d_ways > cache_budget + 1e-9)
                     continue;
                 const double loss =
-                    logBips(bips, j, cur) - logBips(bips, j, c);
+                    prep.logBips(j, cur) - prep.logBips(j, c);
                 const double ratio = loss / -d_power;
                 if (ratio < best_ratio) {
                     best_ratio = ratio;
@@ -200,10 +252,9 @@ repairPowerOvercommit(Point &point, const Matrix &bips,
         }
         if (best_job == jobs)
             break; // every job already at its cheapest configuration
-        used_power += power(best_job, best_cfg) -
-                      power(best_job, point[best_job]);
-        used_ways += JobConfig::fromIndex(best_cfg).cacheWays() -
-                     JobConfig::fromIndex(point[best_job]).cacheWays();
+        used_power += prep.power(best_job, best_cfg) -
+                      prep.power(best_job, point[best_job]);
+        used_ways += prep.ways(best_cfg) - prep.ways(point[best_job]);
         point[best_job] = static_cast<std::uint16_t>(best_cfg);
     }
     repair.shavedPowerW = start_power - used_power;
@@ -214,30 +265,29 @@ repairPowerOvercommit(Point &point, const Matrix &bips,
 }
 
 PowerRepair
-refitPointToBudgets(Point &point, const Matrix &bips,
-                    const Matrix &power, double power_budget,
-                    double cache_budget)
+refitPointToBudgets(Point &point, const PreparedObjective &prep,
+                    double power_budget, double cache_budget,
+                    UpgradeScratch &scratch)
 {
     PowerRepair repair = repairPowerOvercommit(
-        point, bips, power, power_budget, cache_budget);
+        point, prep, power_budget, cache_budget);
     if (!repair.feasible)
         return repair;
     double used_power = repair.usedPowerW;
     double used_ways = repair.usedWays;
-    upgradeRounds(point, bips, power, power_budget, cache_budget,
-                  used_power, used_ways);
+    upgradeRounds(point, prep, power_budget, cache_budget, used_power,
+                  used_ways, scratch);
     repair.usedPowerW = used_power;
     repair.usedWays = used_ways;
     return repair;
 }
 
 void
-greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
-                   double power_budget, double cache_budget,
-                   KnapsackSeed &seed)
+greedyKnapsackSeed(const PreparedObjective &prep, double power_budget,
+                   double cache_budget, KnapsackSeed &seed)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prep.numJobs();
+    const std::size_t configs = prep.numConfigs();
     seed.usedPowerW = 0.0;
     seed.usedWays = 0.0;
     seed.repaired = false;
@@ -247,7 +297,7 @@ greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
     for (std::size_t j = 0; j < jobs; ++j) {
         std::size_t cheapest = 0;
         for (std::size_t c = 1; c < configs; ++c) {
-            if (power(j, c) < power(j, cheapest))
+            if (prep.power(j, c) < prep.power(j, cheapest))
                 cheapest = c;
         }
         x[j] = static_cast<std::uint16_t>(cheapest);
@@ -259,23 +309,23 @@ greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
     // below only refuses moves, so an infeasible seed would stay
     // infeasible and hand DDS a penalized starting point: repair it
     // first.
-    const WayRepair repair = repairWayOvercommit(
-        x, bips, power, power_budget, cache_budget);
+    const WayRepair repair =
+        repairWayOvercommit(x, prep, power_budget, cache_budget);
     seed.repaired = repair.freedWays > 0.0;
     double used_power = repair.usedPowerW;
     double used_ways = repair.usedWays;
-    upgradeRounds(x, bips, power, power_budget, cache_budget,
-                  used_power, used_ways);
+    upgradeRounds(x, prep, power_budget, cache_budget, used_power,
+                  used_ways, seed.upgrades);
     seed.usedPowerW = used_power;
     seed.usedWays = used_ways;
 }
 
 KnapsackSeed
-greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
-                   double power_budget, double cache_budget)
+greedyKnapsackSeed(const PreparedObjective &prep, double power_budget,
+                   double cache_budget)
 {
     KnapsackSeed seed;
-    greedyKnapsackSeed(bips, power, power_budget, cache_budget, seed);
+    greedyKnapsackSeed(prep, power_budget, cache_budget, seed);
     return seed;
 }
 

@@ -11,6 +11,7 @@
 #define CUTTLESYS_CORE_BATCH_POLICY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.hh"
@@ -18,6 +19,17 @@
 #include "sim/multicore.hh"
 
 namespace cuttlesys {
+
+/**
+ * Caller-owned scratch of the upgrade rounds: each job's cached best
+ * upgrade under the running totals. Buffer capacity is reused across
+ * calls, so the rounds allocate nothing in steady state.
+ */
+struct UpgradeScratch
+{
+    std::vector<double> bestGain;       //!< per job; 0 = no upgrade
+    std::vector<std::uint16_t> bestCfg; //!< per job
+};
 
 /** Outcome of the greedy warm start (seed plus feasibility info). */
 struct KnapsackSeed
@@ -29,6 +41,7 @@ struct KnapsackSeed
      *  be repaired by downgrading allocations before the upgrade
      *  rounds. */
     bool repaired = false;
+    UpgradeScratch upgrades; //!< the upgrade rounds' per-job cache
 };
 
 /**
@@ -38,18 +51,19 @@ struct KnapsackSeed
  * repeatedly buy the upgrade with the best log-throughput gain per
  * unit of cost until the budgets are exhausted. For concave
  * allocation curves this lands near the optimum; DDS refines it
- * globally.
+ * globally. Reads the quantum's prepared log-throughput, power and
+ * way tables; no per-cell log or config decode.
  */
-KnapsackSeed greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+KnapsackSeed greedyKnapsackSeed(const PreparedObjective &prep,
                                 double power_budget,
                                 double cache_budget);
 
 /**
  * In-place form of greedyKnapsackSeed: @p seed is overwritten and its
- * point buffer's capacity is reused, so the runtime's per-quantum warm
+ * buffers' capacity is reused, so the runtime's per-quantum warm
  * start allocates nothing in steady state.
  */
-void greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+void greedyKnapsackSeed(const PreparedObjective &prep,
                         double power_budget, double cache_budget,
                         KnapsackSeed &seed);
 
@@ -70,8 +84,9 @@ struct WayRepair
  * same way the greedy seed can — both go through this repair so the
  * emitted schedule always satisfies the machine's way invariant.
  */
-WayRepair repairWayOvercommit(Point &point, const Matrix &bips,
-                              const Matrix &power, double power_budget,
+WayRepair repairWayOvercommit(Point &point,
+                              const PreparedObjective &prep,
+                              double power_budget,
                               double cache_budget);
 
 /** Outcome of a power-overcommit repair pass. */
@@ -95,8 +110,8 @@ struct PowerRepair
  * gating costs all of it — and the incremental fast path uses it to
  * re-fit the cached schedule under each quantum's budget.
  */
-PowerRepair repairPowerOvercommit(Point &point, const Matrix &bips,
-                                  const Matrix &power,
+PowerRepair repairPowerOvercommit(Point &point,
+                                  const PreparedObjective &prep,
                                   double power_budget,
                                   double cache_budget);
 
@@ -109,12 +124,14 @@ PowerRepair repairPowerOvercommit(Point &point, const Matrix &bips,
  * schedule tracks the power manager's budget wiggles in both
  * directions — shaving configs when the budget dips, growing back
  * into headroom when it recovers — exactly as a full re-search would,
- * at a tiny fraction of its cost. Deterministic and heap-free.
+ * at a tiny fraction of its cost. Deterministic, and heap-free once
+ * @p scratch has been sized by an earlier call.
  */
-PowerRepair refitPointToBudgets(Point &point, const Matrix &bips,
-                                const Matrix &power,
+PowerRepair refitPointToBudgets(Point &point,
+                                const PreparedObjective &prep,
                                 double power_budget,
-                                double cache_budget);
+                                double cache_budget,
+                                UpgradeScratch &scratch);
 
 /** What cap enforcement did to a decision. */
 struct CapEnforcement

@@ -474,7 +474,7 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
             dds.seedPoints[i] = options_.dds.seedPoints[i];
         std::size_t next_seed = base_seeds;
         if (options_.searchWarmStart) {
-            greedyKnapsackSeed(bips, power, power_budget, cache_budget,
+            greedyKnapsackSeed(prepared_, power_budget, cache_budget,
                                knapsackSeed_);
             if (rec) {
                 rec->seedWays = knapsackSeed_.usedWays;
@@ -520,7 +520,7 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
     // cannot execute that: repair the overcommit the same way the
     // greedy seed is repaired before the decision leaves the runtime.
     const WayRepair repair = repairWayOvercommit(
-        found.best, bips, power, power_budget, cache_budget);
+        found.best, prepared_, power_budget, cache_budget);
     if (rec)
         rec->searchRepairedWays = repair.freedWays;
 

@@ -294,6 +294,7 @@ class CuttleSysScheduler : public Scheduler
     SliceDecision cachedDecision_;
     std::vector<std::uint16_t> cachedPoint_;  //!< converged indices
     Point fastRepairScratch_; //!< cached point re-fit to the budget
+    UpgradeScratch refitUpgrades_; //!< the re-fit's upgrade cache
     telemetry::LcPath lastLcPath_ = telemetry::LcPath::None;
     bool haveCached_ = false;
     bool churnDirty_ = false;      //!< churn since the last full quantum

@@ -131,15 +131,15 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
     // direction; the full path would absorb that by re-searching —
     // shaving a config when the budget dips, spending the headroom
     // when it recovers — never by gating. The graded re-fit
-    // reproduces both directions (searchBips_ / searchPower_ still
-    // mirror the prediction matrices — the fast path skips exactly
-    // the step that would change them), and restarts from the
-    // unmodified cached point each quantum, so earlier downgrades are
-    // undone the moment the budget allows.
+    // reproduces both directions (prepared_'s tables still mirror
+    // searchBips_ / searchPower_ and the prediction matrices — the
+    // fast path skips exactly the step that would change them), and
+    // restarts from the unmodified cached point each quantum, so
+    // earlier downgrades are undone the moment the budget allows.
     fastRepairScratch_.assign(cachedPoint_.begin(), cachedPoint_.end());
     const PowerRepair refit =
-        refitPointToBudgets(fastRepairScratch_, searchBips_,
-                            searchPower_, power_budget, cache_budget);
+        refitPointToBudgets(fastRepairScratch_, prepared_, power_budget,
+                            cache_budget, refitUpgrades_);
     if (!refit.feasible)
         return false;
 

@@ -3,11 +3,21 @@
  * Tests for the batch-side policy helpers: the greedy knapsack warm
  * start's feasibility invariants, the cap-enforcement pass's way
  * reclamation, and the graded power repair / budget re-fit the
- * incremental fast path uses to track budget wiggles.
+ * incremental fast path uses to track budget wiggles, plus a
+ * randomized bitwise-equivalence check of the table-driven,
+ * incremental implementation against a full-rescan reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+
+#include "common/rng.hh"
 #include "config/job_config.hh"
 #include "core/batch_policy.hh"
 
@@ -22,6 +32,27 @@ pointWays(const Point &x)
         ways += JobConfig::fromIndex(c).cacheWays();
     return ways;
 }
+
+/**
+ * A (bips, power) prediction pair with the prepared tables the batch
+ * policy reads, built the way the runtime builds them each quantum.
+ */
+struct Tables
+{
+    Matrix bips;
+    Matrix power;
+    ObjectiveContext ctx;
+    PreparedObjective prep;
+
+    Tables(Matrix b, Matrix p) : bips(std::move(b)), power(std::move(p))
+    {
+        ctx.bips = &bips;
+        ctx.power = &power;
+        prep.rebuild(ctx);
+    }
+    Tables(const Tables &) = delete;
+    Tables &operator=(const Tables &) = delete;
+};
 
 /** bips grows with the allocation; power is shaped per test. */
 Matrix
@@ -51,8 +82,9 @@ TEST(KnapsackSeedTest, RepairsWayInfeasibleCheapestPowerSeed)
     }
 
     const double cache_budget = 8.0;
+    const Tables t(bips, power);
     const KnapsackSeed seed =
-        greedyKnapsackSeed(bips, power, /*power_budget=*/1e6,
+        greedyKnapsackSeed(t.prep, /*power_budget=*/1e6,
                            cache_budget);
 
     EXPECT_TRUE(seed.repaired);
@@ -73,8 +105,9 @@ TEST(KnapsackSeedTest, FeasibleSeedIsNotRepaired)
     }
 
     const double cache_budget = 16.0;
+    const Tables t(bips, power);
     const KnapsackSeed seed =
-        greedyKnapsackSeed(bips, power, /*power_budget=*/1e6,
+        greedyKnapsackSeed(t.prep, /*power_budget=*/1e6,
                            cache_budget);
 
     EXPECT_FALSE(seed.repaired);
@@ -101,8 +134,9 @@ TEST(KnapsackSeedTest, RepairRespectsPowerBudgetWhenPossible)
     // power (power = 10 - ways), so the "prefer power-feasible"
     // tie-break cannot apply; the repair still must terminate and
     // restore way feasibility.
+    const Tables t(bips, power);
     const KnapsackSeed seed =
-        greedyKnapsackSeed(bips, power, /*power_budget=*/4.0 * 6.0,
+        greedyKnapsackSeed(t.prep, /*power_budget=*/4.0 * 6.0,
                            /*cache_budget=*/4.0);
     EXPECT_TRUE(seed.repaired);
     EXPECT_LE(seed.usedWays, 4.0 + 1e-9);
@@ -121,8 +155,9 @@ TEST(WayRepairTest, FeasiblePointIsUntouched)
     Point x(jobs, static_cast<std::uint16_t>(
                       JobConfig(CoreConfig::widest(), 1).index()));
     const Point before = x;
+    const Tables t(bips, power);
     const WayRepair repair =
-        repairWayOvercommit(x, bips, power, /*power_budget=*/1e6,
+        repairWayOvercommit(x, t.prep, /*power_budget=*/1e6,
                             /*cache_budget=*/16.0);
     EXPECT_EQ(x, before);
     EXPECT_DOUBLE_EQ(repair.freedWays, 0.0);
@@ -149,8 +184,9 @@ TEST(WayRepairTest, RepairsOvercommittedPointInPlace)
                                 kNumCacheAllocs - 1).index()));
     const double before_ways = pointWays(x);
     const double cache_budget = 6.0;
+    const Tables t(bips, power);
     const WayRepair repair =
-        repairWayOvercommit(x, bips, power, /*power_budget=*/1e6,
+        repairWayOvercommit(x, t.prep, /*power_budget=*/1e6,
                             cache_budget);
 
     EXPECT_LE(repair.usedWays, cache_budget + 1e-9);
@@ -278,8 +314,9 @@ TEST(PowerRepairTest, UnderBudgetPointIsUntouched)
     Point x(jobs, static_cast<std::uint16_t>(
                       JobConfig(CoreConfig::widest(), 1).index()));
     const Point before = x;
+    const Tables t(bips, power);
     const PowerRepair repair = repairPowerOvercommit(
-        x, bips, power, /*power_budget=*/1e6, /*cache_budget=*/16.0);
+        x, t.prep, /*power_budget=*/1e6, /*cache_budget=*/16.0);
 
     EXPECT_EQ(x, before);
     EXPECT_TRUE(repair.feasible);
@@ -303,8 +340,9 @@ TEST(PowerRepairTest, ShedsWattsThroughGradedDowngrades)
                                 kNumCacheAllocs - 1).index()));
     const double before_power = pointPower(x, power);
     const double power_budget = 18.0;
+    const Tables t(bips, power);
     const PowerRepair repair = repairPowerOvercommit(
-        x, bips, power, power_budget, /*cache_budget=*/16.0);
+        x, t.prep, power_budget, /*cache_budget=*/16.0);
 
     EXPECT_TRUE(repair.feasible);
     EXPECT_LE(repair.usedPowerW, power_budget + 1e-9);
@@ -328,8 +366,9 @@ TEST(PowerRepairTest, InfeasibleWhenFloorExceedsBudget)
 
     Point x(jobs, static_cast<std::uint16_t>(
                       JobConfig(CoreConfig::widest(), 1).index()));
+    const Tables t(bips, power);
     const PowerRepair repair = repairPowerOvercommit(
-        x, bips, power, /*power_budget=*/0.5, /*cache_budget=*/16.0);
+        x, t.prep, /*power_budget=*/0.5, /*cache_budget=*/16.0);
     EXPECT_FALSE(repair.feasible);
 }
 
@@ -350,8 +389,9 @@ TEST(PowerRepairTest, NeverTradesPowerForWayOvercommit)
     Point x(jobs, static_cast<std::uint16_t>(
                       JobConfig(CoreConfig::widest(), 0).index()));
     const Point before = x;
+    const Tables t(bips, power);
     const PowerRepair repair = repairPowerOvercommit(
-        x, bips, power, /*power_budget=*/1.0,
+        x, t.prep, /*power_budget=*/1.0,
         /*cache_budget=*/pointWays(x));
     EXPECT_FALSE(repair.feasible);
     EXPECT_EQ(x, before);
@@ -371,8 +411,10 @@ TEST(RefitTest, SpendsHeadroomWhenBudgetAllows)
     const double before_power = pointPower(x, power);
     const double power_budget = 16.0;
     const double cache_budget = 12.0;
+    const Tables t(bips, power);
+    UpgradeScratch scratch;
     const PowerRepair refit = refitPointToBudgets(
-        x, bips, power, power_budget, cache_budget);
+        x, t.prep, power_budget, cache_budget, scratch);
 
     EXPECT_TRUE(refit.feasible);
     EXPECT_GT(refit.usedPowerW, before_power);
@@ -395,16 +437,417 @@ TEST(RefitTest, BudgetDipThenRecoveryRegrowsThePoint)
                       JobConfig(CoreConfig::widest(),
                                 kNumCacheAllocs - 1).index()));
     const double high_budget = pointPower(x, power);
+    const Tables t(bips, power);
+    UpgradeScratch scratch;
     const PowerRepair dipped = refitPointToBudgets(
-        x, bips, power, 0.9 * high_budget, /*cache_budget=*/16.0);
+        x, t.prep, 0.9 * high_budget, /*cache_budget=*/16.0, scratch);
     ASSERT_TRUE(dipped.feasible);
     EXPECT_LE(dipped.usedPowerW, 0.9 * high_budget + 1e-9);
 
     const PowerRepair recovered = refitPointToBudgets(
-        x, bips, power, high_budget, /*cache_budget=*/16.0);
+        x, t.prep, high_budget, /*cache_budget=*/16.0, scratch);
     EXPECT_TRUE(recovered.feasible);
     EXPECT_GT(recovered.usedPowerW, dipped.usedPowerW);
     EXPECT_LE(recovered.usedPowerW, high_budget + 1e-9);
+}
+
+// --- full-rescan reference ------------------------------------------
+//
+// The batch policy as it read the (bips, power) matrices directly: a
+// std::log and a JobConfig decode per cell, and a rescan of every
+// (job, config) cell in every upgrade round. The table-driven,
+// incremental implementation must make exactly the same moves.
+namespace ref {
+
+double
+logBips(const Matrix &bips, std::size_t j, std::size_t c)
+{
+    return std::log(std::max(bips(j, c), 1e-6));
+}
+
+double
+ways(std::size_t c)
+{
+    return JobConfig::fromIndex(c).cacheWays();
+}
+
+void
+upgradeRounds(Point &x, const Matrix &bips, const Matrix &power,
+              double power_budget, double cache_budget,
+              double &used_power, double &used_ways)
+{
+    const std::size_t jobs = bips.rows();
+    const std::size_t configs = bips.cols();
+    const double way_rate =
+        cache_budget > 0.0 ? 0.1 * power_budget / cache_budget : 1e9;
+
+    for (std::size_t round = 0; round < jobs * configs; ++round) {
+        double best_gain = 0.0;
+        std::size_t best_job = jobs;
+        std::size_t best_cfg = 0;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const std::size_t cur = x[j];
+            for (std::size_t c = 0; c < configs; ++c) {
+                const double benefit =
+                    logBips(bips, j, c) - logBips(bips, j, cur);
+                if (benefit <= 0.0)
+                    continue;
+                const double d_power = power(j, c) - power(j, cur);
+                const double d_ways = ways(c) - ways(cur);
+                if (used_power + d_power > power_budget ||
+                    used_ways + d_ways > cache_budget)
+                    continue;
+                const double cost = std::max(d_power, 0.0) +
+                                    way_rate * std::max(d_ways, 0.0) +
+                                    1e-6;
+                const double gain = benefit / cost;
+                if (gain > best_gain) {
+                    best_gain = gain;
+                    best_job = j;
+                    best_cfg = c;
+                }
+            }
+        }
+        if (best_job == jobs)
+            break;
+        used_power +=
+            power(best_job, best_cfg) - power(best_job, x[best_job]);
+        used_ways += ways(best_cfg) - ways(x[best_job]);
+        x[best_job] = static_cast<std::uint16_t>(best_cfg);
+    }
+}
+
+WayRepair
+repairWayOvercommit(Point &point, const Matrix &bips,
+                    const Matrix &power, double power_budget,
+                    double cache_budget)
+{
+    const std::size_t jobs = bips.rows();
+    const std::size_t configs = bips.cols();
+    WayRepair repair;
+    double used_power = 0.0;
+    double used_ways = 0.0;
+    for (std::size_t j = 0; j < jobs; ++j) {
+        used_power += power(j, point[j]);
+        used_ways += ways(point[j]);
+    }
+    while (used_ways > cache_budget + 1e-9) {
+        std::size_t best_job = jobs;
+        std::size_t best_cfg = 0;
+        double best_ratio = std::numeric_limits<double>::infinity();
+        bool best_power_ok = false;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const std::size_t cur = point[j];
+            for (std::size_t c = 0; c < configs; ++c) {
+                const double d_ways = ways(c) - ways(cur);
+                if (d_ways >= 0.0)
+                    continue;
+                const double d_power = power(j, c) - power(j, cur);
+                const bool power_ok =
+                    used_power + d_power <= power_budget ||
+                    d_power <= 0.0;
+                if (best_power_ok && !power_ok)
+                    continue;
+                const double loss =
+                    logBips(bips, j, cur) - logBips(bips, j, c);
+                const double ratio = loss / -d_ways;
+                if ((power_ok && !best_power_ok) ||
+                    ratio < best_ratio) {
+                    best_ratio = ratio;
+                    best_job = j;
+                    best_cfg = c;
+                    best_power_ok = power_ok;
+                }
+            }
+        }
+        if (best_job == jobs)
+            break;
+        used_power += power(best_job, best_cfg) -
+                      power(best_job, point[best_job]);
+        const double d_ways = ways(best_cfg) - ways(point[best_job]);
+        used_ways += d_ways;
+        repair.freedWays -= d_ways;
+        point[best_job] = static_cast<std::uint16_t>(best_cfg);
+    }
+    repair.usedPowerW = used_power;
+    repair.usedWays = used_ways;
+    return repair;
+}
+
+PowerRepair
+repairPowerOvercommit(Point &point, const Matrix &bips,
+                      const Matrix &power, double power_budget,
+                      double cache_budget)
+{
+    const std::size_t jobs = bips.rows();
+    const std::size_t configs = bips.cols();
+    PowerRepair repair;
+    double used_power = 0.0;
+    double used_ways = 0.0;
+    for (std::size_t j = 0; j < jobs; ++j) {
+        used_power += power(j, point[j]);
+        used_ways += ways(point[j]);
+    }
+    const double start_power = used_power;
+    while (used_power > power_budget + 1e-9) {
+        std::size_t best_job = jobs;
+        std::size_t best_cfg = 0;
+        double best_ratio = std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const std::size_t cur = point[j];
+            for (std::size_t c = 0; c < configs; ++c) {
+                const double d_power = power(j, c) - power(j, cur);
+                if (d_power >= 0.0)
+                    continue;
+                const double d_ways = ways(c) - ways(cur);
+                if (used_ways + d_ways > cache_budget + 1e-9)
+                    continue;
+                const double loss =
+                    logBips(bips, j, cur) - logBips(bips, j, c);
+                const double ratio = loss / -d_power;
+                if (ratio < best_ratio) {
+                    best_ratio = ratio;
+                    best_job = j;
+                    best_cfg = c;
+                }
+            }
+        }
+        if (best_job == jobs)
+            break;
+        used_power += power(best_job, best_cfg) -
+                      power(best_job, point[best_job]);
+        used_ways += ways(best_cfg) - ways(point[best_job]);
+        point[best_job] = static_cast<std::uint16_t>(best_cfg);
+    }
+    repair.shavedPowerW = start_power - used_power;
+    repair.usedPowerW = used_power;
+    repair.usedWays = used_ways;
+    repair.feasible = used_power <= power_budget + 1e-9;
+    return repair;
+}
+
+PowerRepair
+refitPointToBudgets(Point &point, const Matrix &bips,
+                    const Matrix &power, double power_budget,
+                    double cache_budget)
+{
+    PowerRepair repair = repairPowerOvercommit(
+        point, bips, power, power_budget, cache_budget);
+    if (!repair.feasible)
+        return repair;
+    double used_power = repair.usedPowerW;
+    double used_ways = repair.usedWays;
+    upgradeRounds(point, bips, power, power_budget, cache_budget,
+                  used_power, used_ways);
+    repair.usedPowerW = used_power;
+    repair.usedWays = used_ways;
+    return repair;
+}
+
+KnapsackSeed
+greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+                   double power_budget, double cache_budget)
+{
+    const std::size_t jobs = bips.rows();
+    const std::size_t configs = bips.cols();
+    KnapsackSeed seed;
+    Point &x = seed.point;
+    x.assign(jobs, 0);
+    for (std::size_t j = 0; j < jobs; ++j) {
+        std::size_t cheapest = 0;
+        for (std::size_t c = 1; c < configs; ++c) {
+            if (power(j, c) < power(j, cheapest))
+                cheapest = c;
+        }
+        x[j] = static_cast<std::uint16_t>(cheapest);
+    }
+    const WayRepair repair = repairWayOvercommit(
+        x, bips, power, power_budget, cache_budget);
+    seed.repaired = repair.freedWays > 0.0;
+    double used_power = repair.usedPowerW;
+    double used_ways = repair.usedWays;
+    upgradeRounds(x, bips, power, power_budget, cache_budget,
+                  used_power, used_ways);
+    seed.usedPowerW = used_power;
+    seed.usedWays = used_ways;
+    return seed;
+}
+
+} // namespace ref
+
+/** Bitwise equality: EXPECT_EQ on doubles would let -0.0 == 0.0. */
+::testing::AssertionResult
+sameBits(double a, double b)
+{
+    if (std::bit_cast<std::uint64_t>(a) ==
+        std::bit_cast<std::uint64_t>(b))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a << " and " << b << " differ in their bits";
+}
+
+/**
+ * A random instance whose values sit on coarse grids, so equal gains
+ * (and equal loss ratios) are common and the first-max tie-break is
+ * exercised; about a third of the rows repeat an earlier row, so
+ * whole jobs tie. A few bips cells fall below the 1e-6 log floor.
+ */
+void
+randomMatrices(Rng &rng, std::size_t jobs, Matrix &bips, Matrix &power)
+{
+    bips = Matrix(jobs, kNumJobConfigs);
+    power = Matrix(jobs, kNumJobConfigs);
+    for (std::size_t j = 0; j < jobs; ++j) {
+        if (j > 0 && rng.bernoulli(0.3)) {
+            const auto src = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(j) - 1));
+            for (std::size_t c = 0; c < kNumJobConfigs; ++c) {
+                bips(j, c) = bips(src, c);
+                power(j, c) = power(src, c);
+            }
+            continue;
+        }
+        for (std::size_t c = 0; c < kNumJobConfigs; ++c) {
+            bips(j, c) = rng.bernoulli(0.02)
+                             ? 0.0
+                             : 0.25 * static_cast<double>(
+                                          rng.uniformInt(1, 16));
+            power(j, c) =
+                0.5 * static_cast<double>(rng.uniformInt(1, 8));
+        }
+    }
+}
+
+/** Budgets from one of three regimes, relative to the instance. */
+void
+randomBudgets(Rng &rng, const Matrix &power, double &power_budget,
+              double &cache_budget)
+{
+    const std::size_t jobs = power.rows();
+    double min_power = 0.0;
+    double max_power = 0.0;
+    for (std::size_t j = 0; j < jobs; ++j) {
+        double lo = power(j, 0);
+        double hi = power(j, 0);
+        for (std::size_t c = 1; c < kNumJobConfigs; ++c) {
+            lo = std::min(lo, power(j, c));
+            hi = std::max(hi, power(j, c));
+        }
+        min_power += lo;
+        max_power += hi;
+    }
+    const double n = static_cast<double>(jobs);
+    switch (rng.uniformInt(0, 2)) {
+      case 0: // way-infeasible: below even the smallest allocations
+        power_budget = rng.uniform(min_power, max_power);
+        cache_budget = rng.uniform(0.0, n * kCacheAllocWays[0]);
+        break;
+      case 1: // tight: just above the floors
+        power_budget = min_power + rng.uniform(0.0, 0.15) *
+                                       (max_power - min_power);
+        cache_budget = n * kCacheAllocWays[0] + rng.uniform(0.0, n);
+        break;
+      default: // loose
+        power_budget = rng.uniform(min_power, 1.2 * max_power);
+        cache_budget = rng.uniform(
+            n, n * kCacheAllocWays[kNumCacheAllocs - 1]);
+        break;
+    }
+    // Quantized budgets land exactly on reachable totals now and then.
+    if (rng.bernoulli(0.3)) {
+        power_budget = 0.5 * std::round(2.0 * power_budget);
+        cache_budget = 0.5 * std::round(2.0 * cache_budget);
+    }
+}
+
+Point
+randomPoint(Rng &rng, std::size_t jobs)
+{
+    Point x(jobs);
+    for (std::uint16_t &c : x) {
+        c = static_cast<std::uint16_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(kNumJobConfigs) - 1));
+    }
+    return x;
+}
+
+TEST(BatchPolicyEquivalenceTest, TablesMatchTheFullRescanBitwise)
+{
+    Rng rng(20161);
+    // One seed and one re-fit scratch across every instance, as the
+    // runtime reuses them quantum over quantum, so scratch left by a
+    // larger instance must not leak into a smaller one.
+    KnapsackSeed seed;
+    UpgradeScratch scratch;
+    std::size_t repaired_seeds = 0;
+    std::size_t infeasible_refits = 0;
+    constexpr std::size_t kInstances = 600;
+    for (std::size_t i = 0; i < kInstances; ++i) {
+        const auto jobs = static_cast<std::size_t>(1 + i % 20);
+        Matrix bips, power;
+        randomMatrices(rng, jobs, bips, power);
+        double power_budget = 0.0;
+        double cache_budget = 0.0;
+        randomBudgets(rng, power, power_budget, cache_budget);
+        const Tables t(bips, power);
+        SCOPED_TRACE(::testing::Message()
+                     << "instance " << i << ", " << jobs << " jobs, "
+                     << power_budget << " W, " << cache_budget
+                     << " ways");
+
+        greedyKnapsackSeed(t.prep, power_budget, cache_budget, seed);
+        const KnapsackSeed want = ref::greedyKnapsackSeed(
+            bips, power, power_budget, cache_budget);
+        ASSERT_EQ(seed.point, want.point);
+        EXPECT_TRUE(sameBits(seed.usedPowerW, want.usedPowerW));
+        EXPECT_TRUE(sameBits(seed.usedWays, want.usedWays));
+        EXPECT_EQ(seed.repaired, want.repaired);
+        repaired_seeds += seed.repaired ? 1 : 0;
+
+        const Point start = randomPoint(rng, jobs);
+        {
+            Point got = start;
+            Point exp = start;
+            const WayRepair a = repairWayOvercommit(
+                got, t.prep, power_budget, cache_budget);
+            const WayRepair b = ref::repairWayOvercommit(
+                exp, bips, power, power_budget, cache_budget);
+            ASSERT_EQ(got, exp);
+            EXPECT_TRUE(sameBits(a.freedWays, b.freedWays));
+            EXPECT_TRUE(sameBits(a.usedPowerW, b.usedPowerW));
+            EXPECT_TRUE(sameBits(a.usedWays, b.usedWays));
+        }
+        {
+            Point got = start;
+            Point exp = start;
+            const PowerRepair a = repairPowerOvercommit(
+                got, t.prep, power_budget, cache_budget);
+            const PowerRepair b = ref::repairPowerOvercommit(
+                exp, bips, power, power_budget, cache_budget);
+            ASSERT_EQ(got, exp);
+            EXPECT_TRUE(sameBits(a.shavedPowerW, b.shavedPowerW));
+            EXPECT_TRUE(sameBits(a.usedPowerW, b.usedPowerW));
+            EXPECT_TRUE(sameBits(a.usedWays, b.usedWays));
+            EXPECT_EQ(a.feasible, b.feasible);
+        }
+        {
+            Point got = start;
+            Point exp = start;
+            const PowerRepair a = refitPointToBudgets(
+                got, t.prep, power_budget, cache_budget, scratch);
+            const PowerRepair b = ref::refitPointToBudgets(
+                exp, bips, power, power_budget, cache_budget);
+            ASSERT_EQ(got, exp);
+            EXPECT_TRUE(sameBits(a.shavedPowerW, b.shavedPowerW));
+            EXPECT_TRUE(sameBits(a.usedPowerW, b.usedPowerW));
+            EXPECT_TRUE(sameBits(a.usedWays, b.usedWays));
+            EXPECT_EQ(a.feasible, b.feasible);
+            infeasible_refits += a.feasible ? 0 : 1;
+        }
+    }
+    // The regimes must actually reach the repair and failure paths.
+    EXPECT_GT(repaired_seeds, kInstances / 10);
+    EXPECT_GT(infeasible_refits, kInstances / 20);
 }
 
 } // namespace
