@@ -19,6 +19,10 @@
  * phase as DDS, so the two together are what Table II's 1.3 ms DDS
  * budget has to cover.
  *
+ * A churn row times the three reconstructions of the quantum after a
+ * batch slot changes tenant, when the BIPS and power engines
+ * cold-start through the Jacobi-SVD initialization.
+ *
  * Three extra sections audit this change set directly:
  *  - scalar-vs-vector micro rows time the kernel layer's
  *    lane-blocked primitives against their scalar reference twins on
@@ -133,29 +137,7 @@ struct HotPath
         {
             telemetry::PhaseTimer timer(
                 trace, telemetry::Phase::Reconstruct);
-            ThreadPool::global().parallelFor(3,
-                                             [&](std::size_t metric) {
-                switch (metric) {
-                  case 0:
-                    if (fastPath)
-                        bips.predictInto(predBips, arena);
-                    else
-                        bips.predictInto(predBips);
-                    break;
-                  case 1:
-                    if (fastPath)
-                        power.predictInto(predPower, arena);
-                    else
-                        power.predictInto(predPower);
-                    break;
-                  default:
-                    if (fastPath)
-                        latency.predictInto(predLatency, arena);
-                    else
-                        latency.predictInto(predLatency);
-                    break;
-                }
-            });
+            reconstruct();
         }
 
         kernels::copy(searchBips.data(), predBips.rowPtr(1),
@@ -187,6 +169,50 @@ struct HotPath
             trace->end();
         }
         return found.metrics.objective;
+    }
+
+    /** The three reconstructions, concurrently on the pool. */
+    void reconstruct()
+    {
+        ThreadPool::global().parallelFor(3, [&](std::size_t metric) {
+            switch (metric) {
+              case 0:
+                if (fastPath)
+                    bips.predictInto(predBips, arena);
+                else
+                    bips.predictInto(predBips);
+                break;
+              case 1:
+                if (fastPath)
+                    power.predictInto(predPower, arena);
+                else
+                    power.predictInto(predPower);
+                break;
+              default:
+                if (fastPath)
+                    latency.predictInto(predLatency, arena);
+                else
+                    latency.predictInto(predLatency);
+                break;
+            }
+        });
+    }
+
+    /**
+     * Batch slot @p slot changes tenant: what the runtime's
+     * onJobChurn does to the engines (clear the slot's rows, which
+     * drops both engines' factors), then the newcomer's two profiling
+     * samples.
+     */
+    void churn(std::size_t slot)
+    {
+        const std::size_t job = 1 + slot;
+        bips.clearJob(job);
+        power.clearJob(job);
+        bips.observe(job, 0, rng.uniform(0.5, 8.0));
+        bips.observe(job, kNumJobConfigs - 1, rng.uniform(0.5, 8.0));
+        power.observe(job, 0, rng.uniform(0.5, 3.0));
+        power.observe(job, kNumJobConfigs - 1, rng.uniform(0.5, 3.0));
     }
 
     /** Wall ms of the warm start on the last quantum's tables. */
@@ -242,6 +268,51 @@ run(bool warm_start, std::size_t conv_samples, bool delta,
     stats.meanObjective /= kQuanta;
     stats.seedMeanMs /= kQuanta;
     return stats;
+}
+
+/** Mean and min wall ms of one timed section. */
+struct Timing
+{
+    double meanMs = 0.0;
+    double minMs = 0.0;
+};
+
+/**
+ * The three reconstructions of a quantum that follows onJobChurn of one
+ * slot, on the shipped path with the runtime's Jacobi-SVD cold start:
+ * the BIPS and power engines start cold, the latency engine stays
+ * warm. Each timed churn hits the next slot after a normal quantum.
+ */
+Timing
+churnReconstruct()
+{
+    HotPath path(true, 512, true, true);
+    for (CfEngine *e : {&path.bips, &path.power, &path.latency})
+        e->options().svdWarmStart = true;
+    // Warm-up, one churn included, so the timed cold starts reuse
+    // warm buffers.
+    for (std::size_t q = 0; q < 4; ++q)
+        path.quantum(q);
+    path.churn(kBatchJobs - 1);
+    path.arena.reset();
+    path.reconstruct();
+
+    Timing timing;
+    timing.minMs = 1e18;
+    for (std::size_t q = 0; q < kQuanta; ++q) {
+        path.quantum(4 + q);
+        path.churn(q % kBatchJobs);
+        path.arena.reset();
+        const auto start = Clock::now();
+        path.reconstruct();
+        const double ms =
+            std::chrono::duration<double, std::milli>(Clock::now() -
+                                                      start).count();
+        timing.meanMs += ms;
+        timing.minMs = std::min(timing.minMs, ms);
+    }
+    timing.meanMs /= kQuanta;
+    return timing;
 }
 
 /** Paired telemetry-overhead measurement (see telemetryOverhead). */
@@ -480,6 +551,7 @@ main(int argc, char **argv)
 
     const RunStats before = run(false, 0, false, false);
     const RunStats after = run(true, 512, true, true);
+    const Timing churn = churnReconstruct();
     const TelemetryStats telem = telemetryOverhead();
     const double speedup = before.meanMs / after.meanMs;
     const double speedup_min = before.minMs / after.minMs;
@@ -499,6 +571,9 @@ main(int argc, char **argv)
     std::printf("greedy knapsack seed (shipped, per quantum): mean "
                 "%.3f ms, min %.3f ms\n",
                 after.seedMeanMs, after.seedMinMs);
+    std::printf("churn quantum reconstructions (BIPS + power cold): "
+                "mean %.3f ms, min %.3f ms\n",
+                churn.meanMs, churn.minMs);
     std::printf("telemetry overhead (paired diff best %+.1f / median "
                 "%+.1f us over %.3f ms floor): %.2f%%\n",
                 telem.bestDiffUs, telem.medianDiffUs, telem.bareMinMs,
@@ -529,6 +604,8 @@ main(int argc, char **argv)
                      "  \"speedup_min_ms\": %.4f,\n"
                      "  \"seed_ms_mean\": %.4f,\n"
                      "  \"seed_ms_min\": %.4f,\n"
+                     "  \"churn_reconstruct_ms_mean\": %.4f,\n"
+                     "  \"churn_reconstruct_ms_min\": %.4f,\n"
                      "  \"telemetry_bare_min_ms\": %.4f,\n"
                      "  \"telemetry_traced_min_ms\": %.4f,\n"
                      "  \"telemetry_best_paired_diff_us\": %.3f,\n"
@@ -540,8 +617,8 @@ main(int argc, char **argv)
                      kQuanta, before.meanMs, before.minMs,
                      before.meanObjective, after.meanMs, after.minMs,
                      after.meanObjective, speedup, speedup_min,
-                     after.seedMeanMs, after.seedMinMs,
-                     telem.bareMinMs, telem.tracedMinMs,
+                     after.seedMeanMs, after.seedMinMs, churn.meanMs,
+                     churn.minMs, telem.bareMinMs, telem.tracedMinMs,
                      telem.bestDiffUs, telem.medianDiffUs,
                      telem.overheadPct,
                      static_cast<unsigned long long>(allocs),

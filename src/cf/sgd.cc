@@ -171,51 +171,66 @@ sgdUpdate(const Sample &s, double *q, double *p, std::size_t stride,
 }
 
 /**
- * SVD warm start: factor the mean-filled normalized matrix. Cold
- * start only, so the dense temporaries may use the heap.
+ * SVD warm start: factor the mean-filled normalized matrix into the
+ * factors' q and p, in the factors' own SVD workspace.
+ * jacobiSvdInPlace wants m >= n and its input column-contiguous, so a
+ * wide matrix is factored as its transpose, whose columns are the
+ * filled rows in place; a tall one is filled column by column.
  */
 void
 svdWarmStart(const RatingMatrix &ratings, const double *scales,
-             bool log_transform, std::size_t rank, std::size_t stride,
-             double *q, double *p)
+             bool log_transform, SgdFactors &factors)
 {
     const std::size_t rows = ratings.rows();
     const std::size_t cols = ratings.cols();
+    const bool wide = rows < cols;
+    const std::size_t m = wide ? cols : rows;
+    const std::size_t n = wide ? rows : cols;
 
-    Matrix filled(rows, cols);
+    factors.svdWork.resize(m * n + n * n + n);
+    factors.svdOrder.resize(n);
+    double *filled = factors.svdWork.data();
     for (std::size_t r = 0; r < rows; ++r) {
+        const char *mask = ratings.maskRow(r);
+        const double *vals = ratings.valuesRow(r);
         double row_mean = 0.0;
-        std::size_t n = 0;
+        std::size_t count = 0;
         for (std::size_t c = 0; c < cols; ++c) {
-            if (ratings.observed(r, c)) {
-                row_mean += transformValue(ratings.value(r, c),
-                                           log_transform) / scales[r];
-                ++n;
+            if (mask[c]) {
+                row_mean +=
+                    transformValue(vals[c], log_transform) / scales[r];
+                ++count;
             }
         }
-        row_mean = n ? row_mean / static_cast<double>(n) : 0.0;
+        row_mean = count ? row_mean / static_cast<double>(count) : 0.0;
         for (std::size_t c = 0; c < cols; ++c) {
-            filled(r, c) = ratings.observed(r, c)
-                ? transformValue(ratings.value(r, c), log_transform) /
-                  scales[r]
+            filled[wide ? r * cols + c : c * rows + r] = mask[c]
+                ? transformValue(vals[c], log_transform) / scales[r]
                 : row_mean;
         }
     }
 
-    // jacobiSvd needs m >= n; transpose when the matrix is wide.
-    const bool wide = rows < cols;
-    const SvdResult svd =
-        jacobiSvd(wide ? filled.transpose() : filled);
-    // filled = U S V^T (tall) or filled = V S U^T (wide case).
-    const Matrix &row_side = wide ? svd.v : svd.u;
-    const Matrix &col_side = wide ? svd.u : svd.v;
-    for (std::size_t k = 0; k < rank; ++k) {
-        const double s = k < svd.singularValues.size()
-            ? std::sqrt(svd.singularValues[k]) : 0.0;
-        for (std::size_t r = 0; r < rows; ++r)
-            q[r * stride + k] = row_side(r, k) * s;
-        for (std::size_t c = 0; c < cols; ++c)
-            p[c * stride + k] = col_side(c, k) * s;
+    double *vt = filled + m * n;
+    double *sigma = vt + n * n;
+    std::size_t *order = factors.svdOrder.data();
+    jacobiSvdInPlace(filled, m, n, vt, sigma, order);
+
+    // filled = U S V^T (tall) or filled = V S U^T (wide): U's side
+    // gets the working column normalized by 1/s, V's side the V^T row,
+    // both then scaled by sqrt(s).
+    const std::size_t stride = factors.stride;
+    double *u_side = wide ? factors.p.data() : factors.q.data();
+    double *v_side = wide ? factors.q.data() : factors.p.data();
+    for (std::size_t k = 0; k < factors.rank; ++k) {
+        const std::size_t src = order[k];
+        const double inv = sigma[src] > 1e-300 ? 1.0 / sigma[src] : 0.0;
+        const double root = std::sqrt(sigma[src]);
+        const double *u_col = filled + src * m;
+        const double *v_col = vt + src * n;
+        for (std::size_t i = 0; i < m; ++i)
+            u_side[i * stride + k] = u_col[i] * inv * root;
+        for (std::size_t i = 0; i < n; ++i)
+            v_side[i * stride + k] = v_col[i] * root;
     }
 }
 
@@ -390,8 +405,7 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
         }
         if (options.svdWarmStart && total > 0) {
             svdWarmStart(ratings, set.scales, options.logTransform,
-                         rank, factors.stride, factors.q.data(),
-                         factors.p.data());
+                         factors);
         }
     }
     const std::size_t stride = factors.stride;
@@ -508,30 +522,52 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
             // the learned P: (P_o^T P_o + lambda I) q = P_o^T y over
             // that row's observed columns. The samples are row-major,
             // so rowOffsets slices them per row without a pointer
-            // table.
+            // table. Every fully observed row has the same normal
+            // matrix (the same P rows in the same order), so the
+            // first one's factorization serves them all and each
+            // builds only its P_o^T y.
+            const double ridge = std::max(options.regularization, 1e-6);
             double *a = arena.alloc<double>(rank * rank);
             double *b = arena.alloc<double>(rank);
+            std::size_t *pivots = arena.alloc<std::size_t>(rank);
+            double *dense_lu = arena.alloc<double>(rank * rank);
+            std::size_t *dense_pivots = arena.alloc<std::size_t>(rank);
+            bool dense_factored = false;
             for (std::size_t r = 0; r < rows; ++r) {
                 const std::size_t begin = set.rowOffsets[r];
                 const std::size_t end = set.rowOffsets[r + 1];
                 if (begin == end)
                     continue;
-                kernels::fill(a, 0.0, rank * rank);
                 kernels::fill(b, 0.0, rank);
                 for (std::size_t o = begin; o < end; ++o) {
                     const Sample &s = samples[o];
                     const double *pc = p + s.col * stride;
-                    for (std::size_t i = 0; i < rank; ++i) {
+                    for (std::size_t i = 0; i < rank; ++i)
                         b[i] += pc[i] * s.target;
-                        for (std::size_t j = 0; j < rank; ++j)
-                            a[i * rank + j] += pc[i] * pc[j];
-                    }
                 }
-                const double ridge =
-                    std::max(options.regularization, 1e-6);
-                for (std::size_t i = 0; i < rank; ++i)
-                    a[i * rank + i] += ridge;
-                solveLinearSystemInPlace(a, b, rank);
+                auto buildNormal = [&](double *normal) {
+                    kernels::fill(normal, 0.0, rank * rank);
+                    for (std::size_t o = begin; o < end; ++o) {
+                        const double *pc = p + samples[o].col * stride;
+                        for (std::size_t i = 0; i < rank; ++i) {
+                            for (std::size_t j = 0; j < rank; ++j)
+                                normal[i * rank + j] += pc[i] * pc[j];
+                        }
+                    }
+                    for (std::size_t i = 0; i < rank; ++i)
+                        normal[i * rank + i] += ridge;
+                };
+                if (end - begin < cols) {
+                    buildNormal(a);
+                    solveLinearSystemInPlace(a, pivots, b, rank);
+                } else {
+                    if (!dense_factored) {
+                        buildNormal(dense_lu);
+                        luFactorInPlace(dense_lu, dense_pivots, rank);
+                        dense_factored = true;
+                    }
+                    luReplayInPlace(dense_lu, dense_pivots, b, rank);
+                }
                 kernels::copy(q + r * stride, b, rank);
             }
         }

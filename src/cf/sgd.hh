@@ -116,6 +116,17 @@ struct SgdFactors
     std::size_t rank = 0;
     std::size_t stride = 0;  //!< kernels::padded(rank)
 
+    /**
+     * Workspace of the cold start's Jacobi-SVD initialization: the
+     * mean-filled working matrix, V^T and the singular values, plus
+     * the sort permutation. It lives with the factors, not in the
+     * quantum arena, whose slab would keep the cold start's
+     * high-water for good; sized on the first cold start, it serves
+     * every later one (job churn) without touching the heap.
+     */
+    std::vector<double> svdWork;
+    std::vector<std::size_t> svdOrder;
+
     bool empty() const { return rows == 0; }
 
     double *qRow(std::size_t r) { return q.data() + r * stride; }

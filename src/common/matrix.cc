@@ -187,7 +187,7 @@ Matrix::toString(int precision) const
 }
 
 void
-solveLinearSystemInPlace(double *a, double *x, std::size_t n)
+luFactorInPlace(double *a, std::size_t *pivots, std::size_t n)
 {
     for (std::size_t col = 0; col < n; ++col) {
         // Partial pivoting: find the largest magnitude in this column.
@@ -204,20 +204,36 @@ solveLinearSystemInPlace(double *a, double *x, std::size_t n)
             fatal("solveLinearSystem: matrix is singular at column ",
                   col, " (pivot ", best, ")");
         }
+        pivots[col] = pivot;
         if (pivot != col) {
-            for (std::size_t j = 0; j < n; ++j)
+            for (std::size_t j = col; j < n; ++j)
                 std::swap(a[col * n + j], a[pivot * n + j]);
-            std::swap(x[col], x[pivot]);
         }
-        // Eliminate below the pivot.
+        // Eliminate below the pivot, recording each multiplier where
+        // the eliminated entry was.
         const double inv = 1.0 / a[col * n + col];
         for (std::size_t r = col + 1; r < n; ++r) {
             const double factor = a[r * n + col] * inv;
+            a[r * n + col] = factor;
             if (factor == 0.0)
                 continue;
-            a[r * n + col] = 0.0;
             for (std::size_t j = col + 1; j < n; ++j)
                 a[r * n + j] -= factor * a[col * n + j];
+        }
+    }
+}
+
+void
+luReplayInPlace(const double *lu, const std::size_t *pivots, double *x,
+                std::size_t n)
+{
+    for (std::size_t col = 0; col < n; ++col) {
+        if (pivots[col] != col)
+            std::swap(x[col], x[pivots[col]]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double factor = lu[r * n + col];
+            if (factor == 0.0)
+                continue;
             x[r] -= factor * x[col];
         }
     }
@@ -226,9 +242,17 @@ solveLinearSystemInPlace(double *a, double *x, std::size_t n)
     for (std::size_t ri = n; ri-- > 0;) {
         double sum = x[ri];
         for (std::size_t j = ri + 1; j < n; ++j)
-            sum -= a[ri * n + j] * x[j];
-        x[ri] = sum / a[ri * n + ri];
+            sum -= lu[ri * n + j] * x[j];
+        x[ri] = sum / lu[ri * n + ri];
     }
+}
+
+void
+solveLinearSystemInPlace(double *a, std::size_t *pivots, double *x,
+                         std::size_t n)
+{
+    luFactorInPlace(a, pivots, n);
+    luReplayInPlace(a, pivots, x, n);
 }
 
 std::vector<double>
@@ -241,40 +265,63 @@ solveLinearSystem(const Matrix &a, const std::vector<double> &b)
     // Working copies: the in-place core destroys its inputs.
     Matrix lu = a;
     std::vector<double> x = b;
-    solveLinearSystemInPlace(lu.data(), x.data(), n);
+    std::vector<std::size_t> pivots(n);
+    solveLinearSystemInPlace(lu.data(), pivots.data(), x.data(), n);
     return x;
 }
 
-SvdResult
-jacobiSvd(const Matrix &a, int maxSweeps, double tol)
+namespace {
+
+/** Ascending-index inner product from 0.0: one reduction chain. */
+double
+columnDot(const double *x, const double *y, std::size_t len)
 {
-    CS_ASSERT(a.rows() >= a.cols(),
-              "jacobiSvd expects m >= n (got ", a.rows(), "x",
-              a.cols(), "); transpose first");
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
+    double sum = 0.0;
+    for (std::size_t i = 0; i < len; ++i)
+        sum += x[i] * y[i];
+    return sum;
+}
 
-    Matrix u = a;                 // becomes U * diag(s)
-    Matrix v = Matrix::identity(n);
+} // namespace
 
-    // One-sided Jacobi: orthogonalize pairs of columns of U.
+void
+jacobiSvdInPlace(double *u, std::size_t m, std::size_t n, double *vt,
+                 double *sigma, std::size_t *order, int maxSweeps,
+                 double tol)
+{
+    CS_ASSERT(m >= n, "jacobiSvd expects m >= n (got ", m, "x", n,
+              "); transpose first");
+
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j)
+            vt[i * n + j] = i == j ? 1.0 : 0.0;
+    }
+    // sigma caches every column's squared norm until the final sqrt.
+    for (std::size_t j = 0; j < n; ++j)
+        sigma[j] = columnDot(u + j * m, u + j * m, m);
+
+    // One-sided Jacobi: orthogonalize pairs of columns of U. gamma
+    // always holds the inner product of the current pair (p, q).
     for (int sweep = 0; sweep < maxSweeps; ++sweep) {
         double offDiag = 0.0;
         for (std::size_t p = 0; p + 1 < n; ++p) {
+            double *up = u + p * m;
+            double gamma = columnDot(up, up + m, m);
             for (std::size_t q = p + 1; q < n; ++q) {
-                double alpha = 0.0, beta = 0.0, gamma = 0.0;
-                for (std::size_t i = 0; i < m; ++i) {
-                    alpha += u(i, p) * u(i, p);
-                    beta += u(i, q) * u(i, q);
-                    gamma += u(i, p) * u(i, q);
-                }
+                double *uq = u + q * m;
+                const double *next = q + 1 < n ? uq + m : nullptr;
+                const double alpha = sigma[p];
+                const double beta = sigma[q];
                 offDiag = std::max(offDiag,
                                    std::abs(gamma) /
                                    std::max(std::sqrt(alpha * beta),
                                             1e-300));
                 if (std::abs(gamma) <=
-                    tol * std::sqrt(alpha * beta))
+                    tol * std::sqrt(alpha * beta)) {
+                    if (next)
+                        gamma = columnDot(up, next, m);
                     continue;
+                }
 
                 // Jacobi rotation that zeroes the (p, q) inner product.
                 const double zeta = (beta - alpha) / (2.0 * gamma);
@@ -283,17 +330,30 @@ jacobiSvd(const Matrix &a, int maxSweeps, double tol)
                 const double c = 1.0 / std::sqrt(1.0 + t * t);
                 const double s = c * t;
 
+                // Rotate, and in the same pass accumulate the rotated
+                // columns' norms and the next pair's inner product.
+                double normP = 0.0, normQ = 0.0, gammaNext = 0.0;
                 for (std::size_t i = 0; i < m; ++i) {
-                    const double up = u(i, p);
-                    const double uq = u(i, q);
-                    u(i, p) = c * up - s * uq;
-                    u(i, q) = s * up + c * uq;
+                    const double rp = c * up[i] - s * uq[i];
+                    const double rq = s * up[i] + c * uq[i];
+                    up[i] = rp;
+                    uq[i] = rq;
+                    normP += rp * rp;
+                    normQ += rq * rq;
+                    if (next)
+                        gammaNext += rp * next[i];
                 }
+                sigma[p] = normP;
+                sigma[q] = normQ;
+                gamma = gammaNext;
+
+                double *vp = vt + p * n;
+                double *vq = vt + q * n;
                 for (std::size_t i = 0; i < n; ++i) {
-                    const double vp = v(i, p);
-                    const double vq = v(i, q);
-                    v(i, p) = c * vp - s * vq;
-                    v(i, q) = s * vp + c * vq;
+                    const double rp = c * vp[i] - s * vq[i];
+                    const double rq = s * vp[i] + c * vq[i];
+                    vp[i] = rp;
+                    vq[i] = rq;
                 }
             }
         }
@@ -301,39 +361,46 @@ jacobiSvd(const Matrix &a, int maxSweeps, double tol)
             break;
     }
 
-    // Extract singular values as the column norms of U.
-    SvdResult result;
-    result.singularValues.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        double norm = 0.0;
-        for (std::size_t i = 0; i < m; ++i)
-            norm += u(i, j) * u(i, j);
-        result.singularValues[j] = std::sqrt(norm);
-    }
-
-    // Sort descending, permuting U and V columns to match.
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t x,
-                                              std::size_t y) {
-        return result.singularValues[x] > result.singularValues[y];
+    // Singular values are the column norms of U; order them
+    // descending.
+    for (std::size_t j = 0; j < n; ++j)
+        sigma[j] = std::sqrt(sigma[j]);
+    std::iota(order, order + n, std::size_t{0});
+    std::sort(order, order + n, [sigma](std::size_t x, std::size_t y) {
+        return sigma[x] > sigma[y];
     });
+}
 
-    Matrix uSorted(m, n), vSorted(n, n);
-    std::vector<double> sSorted(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t src = order[j];
-        sSorted[j] = result.singularValues[src];
-        const double inv = sSorted[j] > 1e-300 ? 1.0 / sSorted[j] : 0.0;
-        for (std::size_t i = 0; i < m; ++i)
-            uSorted(i, j) = u(i, src) * inv;
-        for (std::size_t i = 0; i < n; ++i)
-            vSorted(i, j) = v(i, src);
+SvdResult
+jacobiSvd(const Matrix &a, int maxSweeps, double tol)
+{
+    const std::size_t m = a.rows();
+    const std::size_t n = a.cols();
+
+    std::vector<double> u(m * n), vt(n * n), sigma(n);
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < m; ++i) {
+        const double *row = a.rowPtr(i);
+        for (std::size_t j = 0; j < n; ++j)
+            u[j * m + i] = row[j];
     }
+    jacobiSvdInPlace(u.data(), m, n, vt.data(), sigma.data(),
+                     order.data(), maxSweeps, tol);
 
-    result.u = std::move(uSorted);
-    result.v = std::move(vSorted);
-    result.singularValues = std::move(sSorted);
+    SvdResult result;
+    result.u = Matrix(m, n);
+    result.v = Matrix(n, n);
+    result.singularValues.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t src = order[k];
+        const double s = sigma[src];
+        const double inv = s > 1e-300 ? 1.0 / s : 0.0;
+        result.singularValues[k] = s;
+        for (std::size_t i = 0; i < m; ++i)
+            result.u(i, k) = u[src * m + i] * inv;
+        for (std::size_t i = 0; i < n; ++i)
+            result.v(i, k) = vt[src * n + i];
+    }
     return result;
 }
 

@@ -103,13 +103,36 @@ std::vector<double> solveLinearSystem(const Matrix &a,
                                       const std::vector<double> &b);
 
 /**
- * In-place core of solveLinearSystem for allocation-free callers:
- * @p a (n x n, row-major) is overwritten by its LU factors and @p x
- * holds b on entry and the solution on exit. Identical pivoting and
- * elimination order to solveLinearSystem, so both produce bit-equal
- * results.
+ * Factor step of the in-place LU solve: Gaussian elimination with
+ * partial pivoting over @p a (n x n, row-major). On exit the upper
+ * triangle holds U, pivots[col] is the row swapped into position col
+ * at step col, and a[r * n + col] (r > col) holds the multiplier that
+ * step col applied to the row then at position r (rows are swapped
+ * from the pivot column on, so recorded multipliers never move).
+ *
+ * @throws FatalError if the system is singular to working precision.
  */
-void solveLinearSystemInPlace(double *a, double *x, std::size_t n);
+void luFactorInPlace(double *a, std::size_t *pivots, std::size_t n);
+
+/**
+ * Replay step: apply luFactorInPlace's recorded swaps and
+ * multipliers to the right-hand side @p x in the order the
+ * elimination made them (zero multipliers skipped, as there), then
+ * back-substitute. One factorization serves any number of right-hand
+ * sides, each bit-equal to a full solveLinearSystemInPlace.
+ */
+void luReplayInPlace(const double *lu, const std::size_t *pivots,
+                     double *x, std::size_t n);
+
+/**
+ * In-place core of solveLinearSystem for allocation-free callers:
+ * luFactorInPlace then luReplayInPlace. @p a is overwritten by the
+ * factorization, @p pivots (n entries) is workspace, and @p x holds b
+ * on entry and the solution on exit. solveLinearSystem runs this very
+ * code, so both produce bit-equal results.
+ */
+void solveLinearSystemInPlace(double *a, std::size_t *pivots,
+                              double *x, std::size_t n);
 
 /** Result of a singular value decomposition A = U * diag(s) * V^T. */
 struct SvdResult
@@ -124,10 +147,31 @@ struct SvdResult
  *
  * Accurate and simple; O(m n^2) per sweep, plenty for the rating-matrix
  * sizes in this system. Used to warm-start the PQ factors as the paper
- * describes (Section V).
+ * describes (Section V). A copying wrapper over jacobiSvdInPlace.
  */
 SvdResult jacobiSvd(const Matrix &a, int maxSweeps = 60,
                     double tol = 1e-12);
+
+/**
+ * Allocation-free core of jacobiSvd over column-contiguous spans.
+ *
+ * @param u in: the n columns of A, column j at u + j * m; out: column
+ *        j of U * diag(s), in working (unsorted) order.
+ * @param vt out: n x n, row j = column j of V, in working order.
+ * @param sigma out: the n singular values, in working order.
+ * @param order out: the descending permutation: the k-th largest
+ *        singular value is sigma[order[k]], its (unnormalized) U
+ *        column starts at u + order[k] * m and its V column at
+ *        vt + order[k] * n.
+ *
+ * Every column's squared norm is cached and refreshed only by a
+ * rotation of that column, fused into the rotation loop with the next
+ * pair's inner product; each sum is its own ascending-index chain
+ * from 0.0, so the result is that of recomputing every reduction.
+ */
+void jacobiSvdInPlace(double *u, std::size_t m, std::size_t n,
+                      double *vt, double *sigma, std::size_t *order,
+                      int maxSweeps = 60, double tol = 1e-12);
 
 } // namespace cuttlesys
 

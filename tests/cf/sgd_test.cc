@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "cf/sgd.hh"
+#include "common/arena.hh"
+#include "common/kernels.hh"
 #include "common/rng.hh"
 
 namespace cuttlesys {
@@ -276,6 +281,145 @@ TEST(SgdTest, SvdWarmStartConvergesFaster)
     const SgdResult warm_result = reconstruct(ratings, warm);
     EXPECT_LE(warm_result.iterations, cold_result.iterations + 5);
     EXPECT_LT(warm_result.trainRmse, 0.1);
+}
+
+/** Learning-space value of a raw rating (mirrors sgd.cc). */
+double
+toLearning(double v, bool log_transform)
+{
+    return log_transform ? std::log1p(std::max(v, 0.0) / 1e-4) : v;
+}
+
+/** Per-row normalization scale (mirrors sgd.cc's gatherSamples). */
+double
+rowScale(const RatingMatrix &ratings, std::size_t r, bool log_transform)
+{
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (std::size_t c = 0; c < ratings.cols(); ++c) {
+        if (ratings.observed(r, c)) {
+            sum += std::abs(toLearning(ratings.value(r, c),
+                                       log_transform));
+            ++n;
+        }
+    }
+    if (n == 0)
+        return 1.0;
+    const double mean = sum / static_cast<double>(n);
+    return mean > 1e-12 ? mean : 1.0;
+}
+
+/**
+ * The fold-in as a straightforward per-row refit: every observed row
+ * builds its own normal matrix and solves it from scratch.
+ */
+void
+referenceFoldIn(const RatingMatrix &ratings, const SgdOptions &options,
+                SgdFactors &f)
+{
+    const std::size_t rank = f.rank;
+    std::vector<double> a(rank * rank), b(rank);
+    std::vector<std::size_t> pivots(rank);
+    for (std::size_t r = 0; r < ratings.rows(); ++r) {
+        if (ratings.observedInRow(r) == 0)
+            continue;
+        const double scale = rowScale(ratings, r, options.logTransform);
+        std::fill(a.begin(), a.end(), 0.0);
+        std::fill(b.begin(), b.end(), 0.0);
+        for (std::size_t c = 0; c < ratings.cols(); ++c) {
+            if (!ratings.observed(r, c))
+                continue;
+            const double target =
+                toLearning(ratings.value(r, c), options.logTransform) /
+                scale;
+            const double *pc = f.pRow(c);
+            for (std::size_t i = 0; i < rank; ++i) {
+                b[i] += pc[i] * target;
+                for (std::size_t j = 0; j < rank; ++j)
+                    a[i * rank + j] += pc[i] * pc[j];
+            }
+        }
+        const double ridge = std::max(options.regularization, 1e-6);
+        for (std::size_t i = 0; i < rank; ++i)
+            a[i * rank + i] += ridge;
+        solveLinearSystemInPlace(a.data(), pivots.data(), b.data(),
+                                 rank);
+        std::copy(b.begin(), b.end(), f.qRow(r));
+    }
+}
+
+TEST(SgdTest, SharedFoldInFactorizationIsBitwiseThePerRowRefit)
+{
+    // Dense rows (the training rows plus one fully observed live
+    // row), sparse live rows and empty ones. The SGD phase is the
+    // same with and without the fold-in, so the fold-in run must
+    // equal the fold-in-free run followed by the per-row refit.
+    Rng rng(17);
+    const std::size_t rows = 20, cols = 30;
+    const Matrix truth = lowRankMatrix(rows, cols, 4, rng);
+    RatingMatrix ratings(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::size_t samples = 0;
+        if (r < 9 || r == 14)
+            samples = cols;
+        else if (r % 4 != 3)
+            samples = 2 + r % 7;
+        for (auto c : rng.sampleWithoutReplacement(cols, samples))
+            ratings.set(r, c, truth(r, c) * (1.0 + 2.0 * (r % 3)));
+    }
+
+    for (std::size_t threads : {1u, 4u}) {
+        for (bool log_transform : {false, true}) {
+            SgdOptions options;
+            options.rank = 7;
+            options.threads = threads;
+            options.svdWarmStart = true;
+            options.logTransform = log_transform;
+            options.rowBlendThreshold = 0;
+            ScratchArena arena;
+
+            SgdOptions sgd_only = options;
+            sgd_only.foldInRows = false;
+            SgdFactors want;
+            Matrix unused;
+            reconstructInto(ratings, sgd_only, nullptr, want, unused, 0,
+                            arena);
+            referenceFoldIn(ratings, options, want);
+            arena.reset();
+
+            SgdFactors got;
+            Matrix out;
+            reconstructInto(ratings, options, nullptr, got, out, 4,
+                            arena);
+
+            SCOPED_TRACE(::testing::Message()
+                         << "threads " << threads << " log "
+                         << log_transform);
+            ASSERT_EQ(got.q.size(), want.q.size());
+            ASSERT_EQ(got.p.size(), want.p.size());
+            EXPECT_EQ(std::memcmp(got.q.data(), want.q.data(),
+                                  want.q.size() * sizeof(double)), 0);
+            EXPECT_EQ(std::memcmp(got.p.data(), want.p.data(),
+                                  want.p.size() * sizeof(double)), 0);
+
+            ASSERT_EQ(out.rows(), rows - 4);
+            for (std::size_t r = 4; r < rows; ++r) {
+                const double scale =
+                    rowScale(ratings, r, log_transform);
+                for (std::size_t c = 0; c < cols; ++c) {
+                    const double y = kernels::dot(
+                        want.qRow(r), want.pRow(c), want.stride) * scale;
+                    const double expect = log_transform
+                        ? std::expm1(std::max(y, 0.0)) * 1e-4
+                        : std::max(y, 0.0);
+                    const double actual = out(r - 4, c);
+                    ASSERT_EQ(std::memcmp(&actual, &expect,
+                                          sizeof(double)), 0)
+                        << "cell (" << r << ", " << c << ")";
+                }
+            }
+        }
+    }
 }
 
 TEST(SgdTest, RankIsClampedToMatrixSize)

@@ -178,9 +178,8 @@ TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
     opts.powerPattern = LoadPattern::constant(0.7);
     opts.maxPowerW = 150.0;
     opts.keepSliceRecords = false;
-    // Steady state means stable load AND a stable colocation: churn
-    // (CfEngine::clearJob) legitimately triggers a heap-using SVD
-    // cold restart. At constant offered load the default
+    // Steady state means stable load AND a stable colocation (churn
+    // has its own gate below). At constant offered load the default
     // load-change threshold can still fire off completion-count
     // noise, so widen it — the gate measures the no-churn quantum.
     CuttleSysOptions sched;
@@ -247,6 +246,49 @@ TEST(ZeroAlloc, FastReuseQuantumIsHeapFree)
         << "the measured window must contain fast-reuse quanta";
 }
 
+TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
+{
+    // The churn gate: onJobChurn clears a slot's rows and drops both
+    // engines' factors, so the next decision cold-starts the BIPS and
+    // power reconstructions — Jacobi-SVD warm start included — and
+    // re-searches. The cold start's buffers come from the quantum
+    // arena and the engines' SVD workspace, both sized by earlier
+    // cold starts, so a churn quantum is as heap-free as a steady one.
+    setInformEnabled(false);
+    const SystemParams params;
+    DriverOptions opts;
+    opts.durationSec = 10.0;
+    opts.loadPattern = LoadPattern::constant(0.45);
+    opts.powerPattern = LoadPattern::constant(0.7);
+    opts.maxPowerW = 150.0;
+    opts.keepSliceRecords = false;
+    CuttleSysOptions sched;
+    sched.loadChangeThreshold = 1.0;
+    cluster::ClusterNode node(params, testTrainingTables(),
+                              makeTestMix(), 21, opts, 3, sched);
+    const std::size_t slots = node.numBatchSlots();
+
+    std::size_t churned = 0;
+    auto churnStep = [&] {
+        node.scheduler().onJobChurn(churned++ % slots);
+        node.step();
+    };
+    for (int q = 0; q < 12; ++q)
+        node.step();
+    for (int q = 0; q < 4; ++q)
+        churnStep();
+
+    constexpr int kMeasured = 8;
+    const std::uint64_t before = AllocProbe::newCount();
+    for (int q = 0; q < kMeasured; ++q)
+        churnStep();
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(allocs, 0u)
+        << "churn quantum touched the heap " << allocs
+        << " times over " << kMeasured << " quanta";
+}
+
 TEST(ZeroAlloc, FleetQuiescentQuantumIsHeapFree)
 {
     // The shipped controller end to end: a real FleetController's
@@ -256,7 +298,7 @@ TEST(ZeroAlloc, FleetQuiescentQuantumIsHeapFree)
     // load is flat; the stability gate keeps its default (on). As in
     // the node gates above, the load-change threshold is widened: at
     // constant load it can still fire off completion-count noise, and
-    // the cold restart it forces legitimately allocates.
+    // the gate measures the quiescent quantum.
     setInformEnabled(false);
     const SystemParams params;
     const TrainTestSplit split = splitSpecGallery();
