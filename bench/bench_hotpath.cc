@@ -14,10 +14,13 @@
  * persistent DDS scratch). Both run on the persistent pool.
  *
  * The shipped run also times the greedy knapsack warm start
- * (greedyKnapsackSeed) on each timed quantum's prepared tables, apart
- * from the quantum itself: the runtime runs it inside the same search
- * phase as DDS, so the two together are what Table II's 1.3 ms DDS
- * budget has to cover.
+ * (greedyKnapsackSeed) and the runtime's 8-logical-worker parallel
+ * DDS on each timed quantum's prepared tables, apart from the quantum
+ * itself: the runtime runs the two inside one search phase, so
+ * together they are what Table II's 1.3 ms DDS budget has to cover.
+ *
+ * A pool row times the fork-join round trip itself: the median of
+ * back-to-back empty parallelFor(8) regions on the global pool.
  *
  * A churn row times the three reconstructions of the quantum after a
  * batch slot changes tenant, when the BIPS and power engines
@@ -215,6 +218,15 @@ struct HotPath
         power.observe(job, kNumJobConfigs - 1, rng.uniform(0.5, 3.0));
     }
 
+    /** Wall ms of the parallel DDS on the last quantum's tables. */
+    double timeDds()
+    {
+        const auto start = Clock::now();
+        parallelDds(prepared, dds, ddsScratch, found);
+        return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                         start).count();
+    }
+
     /** Wall ms of the warm start on the last quantum's tables. */
     double timeSeed()
     {
@@ -233,6 +245,8 @@ struct RunStats
     double meanObjective = 0.0;
     double seedMeanMs = 0.0; //!< shipped path only
     double seedMinMs = 0.0;
+    double ddsMeanMs = 0.0; //!< shipped path only
+    double ddsMinMs = 0.0;
 };
 
 RunStats
@@ -249,6 +263,7 @@ run(bool warm_start, std::size_t conv_samples, bool delta,
     RunStats stats;
     stats.minMs = 1e18;
     stats.seedMinMs = fast_path ? 1e18 : 0.0;
+    stats.ddsMinMs = fast_path ? 1e18 : 0.0;
     for (std::size_t q = 1; q <= kQuanta; ++q) {
         const auto start = Clock::now();
         const double objective = path.quantum(q);
@@ -262,11 +277,15 @@ run(bool warm_start, std::size_t conv_samples, bool delta,
             const double seed_ms = path.timeSeed();
             stats.seedMeanMs += seed_ms;
             stats.seedMinMs = std::min(stats.seedMinMs, seed_ms);
+            const double dds_ms = path.timeDds();
+            stats.ddsMeanMs += dds_ms;
+            stats.ddsMinMs = std::min(stats.ddsMinMs, dds_ms);
         }
     }
     stats.meanMs /= kQuanta;
     stats.meanObjective /= kQuanta;
     stats.seedMeanMs /= kQuanta;
+    stats.ddsMeanMs /= kQuanta;
     return stats;
 }
 
@@ -313,6 +332,31 @@ churnReconstruct()
     }
     timing.meanMs /= kQuanta;
     return timing;
+}
+
+/**
+ * Median wall us of an empty parallelFor(8) on the global pool, run
+ * back to back: what a fork-join region costs before any work, the
+ * floor under each of DDS's 40 rounds and SGD's sub-epochs.
+ */
+double
+poolRegionUs()
+{
+    constexpr std::size_t kWarm = 1000;
+    constexpr std::size_t kRegions = 5001;
+    ThreadPool &pool = ThreadPool::global();
+    auto empty = [](std::size_t) {};
+    for (std::size_t r = 0; r < kWarm; ++r)
+        pool.parallelFor(8, empty);
+    std::vector<double> us(kRegions);
+    for (double &sample : us) {
+        const auto start = Clock::now();
+        pool.parallelFor(8, empty);
+        sample = std::chrono::duration<double, std::micro>(Clock::now() -
+                                                           start).count();
+    }
+    std::nth_element(us.begin(), us.begin() + kRegions / 2, us.end());
+    return us[kRegions / 2];
 }
 
 /** Paired telemetry-overhead measurement (see telemetryOverhead). */
@@ -552,6 +596,7 @@ main(int argc, char **argv)
     const RunStats before = run(false, 0, false, false);
     const RunStats after = run(true, 512, true, true);
     const Timing churn = churnReconstruct();
+    const double region_us = poolRegionUs();
     const TelemetryStats telem = telemetryOverhead();
     const double speedup = before.meanMs / after.meanMs;
     const double speedup_min = before.minMs / after.minMs;
@@ -571,6 +616,11 @@ main(int argc, char **argv)
     std::printf("greedy knapsack seed (shipped, per quantum): mean "
                 "%.3f ms, min %.3f ms\n",
                 after.seedMeanMs, after.seedMinMs);
+    std::printf("parallel DDS (shipped, 8 logical workers, per "
+                "quantum): mean %.3f ms, min %.3f ms\n",
+                after.ddsMeanMs, after.ddsMinMs);
+    std::printf("empty parallelFor(8) round trip: median %.2f us\n",
+                region_us);
     std::printf("churn quantum reconstructions (BIPS + power cold): "
                 "mean %.3f ms, min %.3f ms\n",
                 churn.meanMs, churn.minMs);
@@ -604,6 +654,9 @@ main(int argc, char **argv)
                      "  \"speedup_min_ms\": %.4f,\n"
                      "  \"seed_ms_mean\": %.4f,\n"
                      "  \"seed_ms_min\": %.4f,\n"
+                     "  \"dds_ms_mean\": %.4f,\n"
+                     "  \"dds_ms_min\": %.4f,\n"
+                     "  \"pool_region_us_median\": %.3f,\n"
                      "  \"churn_reconstruct_ms_mean\": %.4f,\n"
                      "  \"churn_reconstruct_ms_min\": %.4f,\n"
                      "  \"telemetry_bare_min_ms\": %.4f,\n"
@@ -617,7 +670,9 @@ main(int argc, char **argv)
                      kQuanta, before.meanMs, before.minMs,
                      before.meanObjective, after.meanMs, after.minMs,
                      after.meanObjective, speedup, speedup_min,
-                     after.seedMeanMs, after.seedMinMs, churn.meanMs,
+                     after.seedMeanMs, after.seedMinMs,
+                     after.ddsMeanMs, after.ddsMinMs, region_us,
+                     churn.meanMs,
                      churn.minMs, telem.bareMinMs, telem.tracedMinMs,
                      telem.bestDiffUs, telem.medianDiffUs,
                      telem.overheadPct,

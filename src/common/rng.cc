@@ -19,12 +19,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,29 +29,6 @@ Rng::Rng(std::uint64_t seed)
     // xoshiro must not start from the all-zero state.
     if (!(s_[0] | s_[1] | s_[2] | s_[3]))
         s_[0] = 0x1ULL;
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high-quality bits into [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double

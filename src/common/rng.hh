@@ -14,6 +14,7 @@
 #ifndef CUTTLESYS_COMMON_RNG_HH
 #define CUTTLESYS_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -36,11 +37,31 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
 
-    /** Next raw 64-bit output. */
-    result_type operator()();
+    /** Next raw 64-bit output. Inline: DDS draws 16 per candidate and
+     *  the queue simulator one per arrival. */
+    result_type
+    operator()()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high-quality bits into [0, 1).
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);

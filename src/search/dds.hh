@@ -71,9 +71,11 @@ struct SearchResult
 /**
  * Per-worker reusable state of one parallel DDS run. Internal to the
  * DDS implementation; exposed only so DdsScratch can own a vector of
- * them across quanta.
+ * them across quanta. Cache-line aligned: every candidate writes its
+ * worker's RNG state, counters and `changed` end pointer, and packed
+ * neighbours in the vector would false-share those lines.
  */
-struct DdsWorkerState
+struct alignas(64) DdsWorkerState
 {
     Point localBest;
     Point candidate;

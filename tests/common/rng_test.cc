@@ -22,6 +22,41 @@ TEST(RngTest, DeterministicForSameSeed)
         EXPECT_EQ(a(), b());
 }
 
+TEST(RngTest, StreamMatchesPinnedValues)
+{
+    // The first outputs for one seed, recorded from the out-of-line
+    // implementation: every seeded experiment, replay reference and
+    // bench digest depends on this stream, so moving code between the
+    // header and rng.cc must not change a single bit of it.
+    const std::uint64_t raw[8] = {
+        0x0e48715a13d7772eULL, 0xc837f3ee8a7a1065ULL,
+        0x1272314b15ee5001ULL, 0x28e323a6abe2a46bULL,
+        0xc60df3b261660aa7ULL, 0x3eaff0863ccf54f5ULL,
+        0x64f330b569ae67a8ULL, 0x41cb3a533c517b6cULL,
+    };
+    const double uniform[8] = {
+        0x1.c90e2b427aeep-5,   0x1.906fe7dd14f42p-1,
+        0x1.272314b15ee5p-4,   0x1.47191d355f15p-3,
+        0x1.8c1be764c2cc1p-1,  0x1.f57f8431e67a8p-3,
+        0x1.93ccc2d5a6b98p-2,  0x1.072ce94cf145ep-2,
+    };
+    const double normal[8] = {
+        0x1.ece631e882287p-2,  -0x1.2d4a5a0a83242p+1,
+        0x1.3b80c5ab702edp+0,  0x1.ef32693dd10dep+0,
+        0x1.7a1ff8003d15fp-6,  0x1.6e9f092142111p-1,
+        -0x1.ebe272f0a9473p-5, 0x1.5ce717624f22fp+0,
+    };
+    const std::int64_t ints[8] = {476, 598, 634, 699, 569, 272, 66, 488};
+
+    Rng a(2024), b(2024), c(2024), d(2024);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(a(), raw[i]) << "draw " << i;
+        EXPECT_EQ(b.uniform(), uniform[i]) << "draw " << i;
+        EXPECT_EQ(c.normal(), normal[i]) << "draw " << i;
+        EXPECT_EQ(d.uniformInt(-50, 1000), ints[i]) << "draw " << i;
+    }
+}
+
 TEST(RngTest, DifferentSeedsDiverge)
 {
     Rng a(1), b(2);
