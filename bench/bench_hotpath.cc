@@ -1,41 +1,37 @@
 /**
  * @file
- * Decision-quantum hot-path timing: the combined per-quantum cost of
- * the three matrix reconstructions plus the parallel DDS search,
- * before and after the hot-path optimizations of this change set.
+ * Decision-quantum hot-path timing of the shipped path, row by row
+ * against the paper's Table II budget: 4.8 ms of SGD reconstruction
+ * plus 1.3 ms of DDS per 100 ms quantum.
  *
- * "before" reproduces the seed configuration's algorithmic work:
- * cold-start SGD every quantum (no factor reuse), convergence checked
- * on every observed cell, full evaluatePoint per DDS candidate, and
- * the allocating per-call entry points. "after" is the shipped
- * configuration: cross-quantum factor warm starts, subsampled
- * convergence checks, delta-evaluated DDS, and the arena-backed
- * zero-allocation entry points (predictInto + prepared objective +
- * persistent DDS scratch). Both run on the persistent pool.
+ * Each timed quantum ingests a fresh cell, runs the runtime's three
+ * reconstructions concurrently on the pool (factor warm starts,
+ * subsampled convergence checks, arena-fed predictInto), then the
+ * 8-logical-worker delta-evaluated DDS over a prepared objective with
+ * persistent scratch. Rows, each a median with mean and min:
+ *  - quantum: the whole quantum (reconstruct + DDS), against 6.1 ms,
+ *  - reconstruct: its three warm reconstructions, against 4.8 ms,
+ *  - churn reconstruct: the three reconstructions of the quantum
+ *    after a batch slot changes tenant, when the BIPS and power
+ *    engines cold-start through the Jacobi-SVD initialization,
+ *    against 4.8 ms,
+ *  - seed and DDS: the greedy knapsack warm start
+ *    (greedyKnapsackSeed) and the parallel DDS, re-timed on each
+ *    quantum's prepared tables. The runtime runs the two inside one
+ *    search phase, so together they are what the 1.3 ms DDS budget
+ *    has to cover.
  *
- * The shipped run also times the greedy knapsack warm start
- * (greedyKnapsackSeed) and the runtime's 8-logical-worker parallel
- * DDS on each timed quantum's prepared tables, apart from the quantum
- * itself: the runtime runs the two inside one search phase, so
- * together they are what Table II's 1.3 ms DDS budget has to cover.
- *
- * A pool row times the fork-join round trip itself: the median of
- * back-to-back empty parallelFor(8) regions on the global pool.
- *
- * A churn row times the three reconstructions of the quantum after a
- * batch slot changes tenant, when the BIPS and power engines
- * cold-start through the Jacobi-SVD initialization.
- *
- * Three extra sections audit this change set directly:
- *  - scalar-vs-vector micro rows time the kernel layer's
- *    lane-blocked primitives against their scalar reference twins on
- *    the hot primitive shapes,
+ * Three more rows audit the loop itself:
+ *  - pool region: the median of back-to-back empty parallelFor(8)
+ *    regions on the global pool,
+ *  - telemetry: a paired overhead row, interleaved blocks of quanta
+ *    with and without a trace attached (null sink),
  *  - a steady-state allocations-per-quantum row, counted by the
- *    cs_alloc_probe operator-new replacement (must be 0),
- *  - a paired telemetry-overhead row: interleaved best-of-K quanta
- *    with and without a trace attached (null sink), and
- *  - --smoke: exit nonzero unless speedup >= 1.5x, the steady-state
- *    allocation count is 0, and telemetry overhead < 1%, for CI.
+ *    cs_alloc_probe operator-new replacement.
+ *
+ * --smoke exits nonzero unless the median quantum fits the 6.1 ms
+ * budget, the steady-state allocation count is 0 and the telemetry
+ * overhead is under 1%, for CI.
  *
  * Emits BENCH_hotpath.json next to stdout for scripted comparison.
  */
@@ -50,6 +46,7 @@
 #include "common/alloc_probe.hh"
 #include "common/arena.hh"
 #include "common/kernels.hh"
+#include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "core/batch_policy.hh"
 #include "search/dds.hh"
@@ -68,7 +65,19 @@ constexpr std::size_t kQuanta = 12;
 constexpr double kPowerBudgetW = 30.0;
 constexpr double kCacheBudgetWays = 28.0;
 
-/** One decision quantum's model work, parameterized by fidelity. */
+/** Table II budgets, ms per quantum. */
+constexpr double kSgdBudgetMs = 4.8;
+constexpr double kDdsBudgetMs = 1.3;
+constexpr double kQuantumBudgetMs = kSgdBudgetMs + kDdsBudgetMs;
+
+double
+msSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                     start).count();
+}
+
+/** One decision quantum's model work on the shipped path. */
 struct HotPath
 {
     CfEngine bips;
@@ -79,8 +88,6 @@ struct HotPath
     Matrix searchPower{kBatchJobs, kNumJobConfigs};
     DdsOptions dds;
     Rng rng{83};
-    /** true = the shipped arena + prepared-objective path. */
-    bool fastPath = false;
     ScratchArena arena;
     ObjectiveContext objCtx;
     PreparedObjective prepared;
@@ -89,24 +96,19 @@ struct HotPath
     KnapsackSeed seed;
     /** Non-null: per-quantum tracing with the sink disabled. */
     telemetry::QuantumTrace *trace = nullptr;
+    /** Wall ms of the last quantum's three reconstructions. */
+    double reconstructMs = 0.0;
 
-    HotPath(bool warm_start, std::size_t conv_samples, bool delta,
-            bool fast_path)
+    HotPath()
         : bips(trainingTables().bips, kLiveJobs, kNumJobConfigs),
           power(trainingTables().power, kLiveJobs, kNumJobConfigs),
-          latency(trainingTables().latency, 1, kNumJobConfigs),
-          fastPath(fast_path)
+          latency(trainingTables().latency, 1, kNumJobConfigs)
     {
-        for (CfEngine *e : {&bips, &power, &latency}) {
-            e->setFactorWarmStart(warm_start);
-            e->options().convergenceSamples = conv_samples;
-        }
         bips.options().threads = 4;
         power.options().threads = 4;
         latency.options().threads = 2;
         latency.options().logTransform = true;
         dds.threads = 8;
-        dds.useDeltaEval = delta;
 
         // Two profiling samples per live row, like the runtime's
         // steady state.
@@ -140,7 +142,9 @@ struct HotPath
         {
             telemetry::PhaseTimer timer(
                 trace, telemetry::Phase::Reconstruct);
+            const auto start = Clock::now();
             reconstruct();
+            reconstructMs = msSince(start);
         }
 
         kernels::copy(searchBips.data(), predBips.rowPtr(1),
@@ -155,12 +159,8 @@ struct HotPath
         {
             telemetry::PhaseTimer timer(
                 trace, telemetry::Phase::Search);
-            if (fastPath) {
-                prepared.rebuild(objCtx);
-                parallelDds(prepared, dds, ddsScratch, found);
-            } else {
-                found = parallelDds(objCtx, dds);
-            }
+            prepared.rebuild(objCtx);
+            parallelDds(prepared, dds, ddsScratch, found);
         }
 
         if (trace) {
@@ -179,24 +179,9 @@ struct HotPath
     {
         ThreadPool::global().parallelFor(3, [&](std::size_t metric) {
             switch (metric) {
-              case 0:
-                if (fastPath)
-                    bips.predictInto(predBips, arena);
-                else
-                    bips.predictInto(predBips);
-                break;
-              case 1:
-                if (fastPath)
-                    power.predictInto(predPower, arena);
-                else
-                    power.predictInto(predPower);
-                break;
-              default:
-                if (fastPath)
-                    latency.predictInto(predLatency, arena);
-                else
-                    latency.predictInto(predLatency);
-                break;
+              case 0: bips.predictInto(predBips, arena); break;
+              case 1: power.predictInto(predPower, arena); break;
+              default: latency.predictInto(predLatency, arena); break;
             }
         });
     }
@@ -223,8 +208,7 @@ struct HotPath
     {
         const auto start = Clock::now();
         parallelDds(prepared, dds, ddsScratch, found);
-        return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                         start).count();
+        return msSince(start);
     }
 
     /** Wall ms of the warm start on the last quantum's tables. */
@@ -233,79 +217,71 @@ struct HotPath
         const auto start = Clock::now();
         greedyKnapsackSeed(prepared, kPowerBudgetW, kCacheBudgetWays,
                            seed);
-        return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                         start).count();
+        return msSince(start);
     }
 };
 
-struct RunStats
+/** Median, mean and min of one timed row's per-quantum samples. */
+struct Row
 {
-    double meanMs = 0.0;
-    double minMs = 0.0;
-    double meanObjective = 0.0;
-    double seedMeanMs = 0.0; //!< shipped path only
-    double seedMinMs = 0.0;
-    double ddsMeanMs = 0.0; //!< shipped path only
-    double ddsMinMs = 0.0;
+    double median = 0.0;
+    double mean = 0.0;
+    double min = 0.0;
 };
 
-RunStats
-run(bool warm_start, std::size_t conv_samples, bool delta,
-    bool fast_path)
+Row
+summarize(const std::vector<double> &ms)
 {
-    HotPath path(warm_start, conv_samples, delta, fast_path);
-    // Untimed cold quantum: fills the factor caches for the "after"
-    // configuration, and gives both configurations identical warmup.
-    path.quantum(0);
-    if (fast_path)
-        path.timeSeed(); // sizes the seed's buffers
+    return {percentile(ms, 50.0), mean(ms), minValue(ms)};
+}
 
-    RunStats stats;
-    stats.minMs = 1e18;
-    stats.seedMinMs = fast_path ? 1e18 : 0.0;
-    stats.ddsMinMs = fast_path ? 1e18 : 0.0;
+struct SteadyStats
+{
+    Row quantum;
+    Row reconstruct;
+    Row seed;
+    Row dds;
+    double meanObjective = 0.0;
+};
+
+/** kQuanta steady-state quanta, with the seed and DDS re-timed. */
+SteadyStats
+steadyQuanta()
+{
+    HotPath path;
+    // Untimed cold quantum: fills the factor caches; one seed call
+    // sizes the seed's buffers.
+    path.quantum(0);
+    path.timeSeed();
+
+    std::vector<double> quantum_ms, reconstruct_ms, seed_ms, dds_ms;
+    SteadyStats stats;
     for (std::size_t q = 1; q <= kQuanta; ++q) {
         const auto start = Clock::now();
-        const double objective = path.quantum(q);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      start).count();
-        stats.meanMs += ms;
-        stats.minMs = std::min(stats.minMs, ms);
-        stats.meanObjective += objective;
-        if (fast_path) {
-            const double seed_ms = path.timeSeed();
-            stats.seedMeanMs += seed_ms;
-            stats.seedMinMs = std::min(stats.seedMinMs, seed_ms);
-            const double dds_ms = path.timeDds();
-            stats.ddsMeanMs += dds_ms;
-            stats.ddsMinMs = std::min(stats.ddsMinMs, dds_ms);
-        }
+        stats.meanObjective += path.quantum(q);
+        quantum_ms.push_back(msSince(start));
+        reconstruct_ms.push_back(path.reconstructMs);
+        seed_ms.push_back(path.timeSeed());
+        dds_ms.push_back(path.timeDds());
     }
-    stats.meanMs /= kQuanta;
+    stats.quantum = summarize(quantum_ms);
+    stats.reconstruct = summarize(reconstruct_ms);
+    stats.seed = summarize(seed_ms);
+    stats.dds = summarize(dds_ms);
     stats.meanObjective /= kQuanta;
-    stats.seedMeanMs /= kQuanta;
-    stats.ddsMeanMs /= kQuanta;
     return stats;
 }
 
-/** Mean and min wall ms of one timed section. */
-struct Timing
-{
-    double meanMs = 0.0;
-    double minMs = 0.0;
-};
-
 /**
  * The three reconstructions of a quantum that follows onJobChurn of one
- * slot, on the shipped path with the runtime's Jacobi-SVD cold start:
- * the BIPS and power engines start cold, the latency engine stays
- * warm. Each timed churn hits the next slot after a normal quantum.
+ * slot, with the runtime's Jacobi-SVD cold start: the BIPS and power
+ * engines start cold, the latency engine stays warm. Each timed churn
+ * hits the next slot after a normal quantum.
  */
-Timing
+Row
 churnReconstruct()
 {
-    HotPath path(true, 512, true, true);
+    HotPath path;
     for (CfEngine *e : {&path.bips, &path.power, &path.latency})
         e->options().svdWarmStart = true;
     // Warm-up, one churn included, so the timed cold starts reuse
@@ -316,22 +292,16 @@ churnReconstruct()
     path.arena.reset();
     path.reconstruct();
 
-    Timing timing;
-    timing.minMs = 1e18;
+    std::vector<double> ms;
     for (std::size_t q = 0; q < kQuanta; ++q) {
         path.quantum(4 + q);
         path.churn(q % kBatchJobs);
         path.arena.reset();
         const auto start = Clock::now();
         path.reconstruct();
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      start).count();
-        timing.meanMs += ms;
-        timing.minMs = std::min(timing.minMs, ms);
+        ms.push_back(msSince(start));
     }
-    timing.meanMs /= kQuanta;
-    return timing;
+    return summarize(ms);
 }
 
 /**
@@ -367,6 +337,7 @@ struct TelemetryStats
     double medianDiffUs = 0.0; //!< median per-pair (traced - bare)
     double bestDiffUs = 0.0;   //!< smallest per-pair (traced - bare)
     double overheadPct = 0.0;  //!< best diff / bare min, clamped >= 0
+    double medianPct = 0.0;    //!< median diff / bare min
 };
 
 /**
@@ -390,21 +361,22 @@ struct TelemetryStats
  * Preemption noise is one-sided: it can only inflate a round's diff
  * (whichever half it lands on makes that half slower), so the
  * cleanest round approaches the true overhead from above, while a
- * real regression is paid in every round and survives the min. The
- * median diff rides along in the report as a cross-check. Comparing
- * two *independent* run() calls here is hopeless — the overhead is
- * well under the quantum's run-to-run noise, which is how the report
- * once showed telemetry making the loop 2% faster — and even
- * best-of-K per side stays a few percent noisy, because the minima
- * of two heavy-tailed timing distributions converge slowly. The
- * result is clamped at zero: the traced quantum cannot be genuinely
+ * real regression is paid in every round and survives the min. That
+ * estimate is clamped at zero: the traced quantum cannot be genuinely
  * faster, so a negative raw diff just means the overhead is below
- * the measurement floor.
+ * the measurement floor. The best diff is routinely far below zero,
+ * though, so the reported overhead is the *median* diff over the
+ * same floor, unclamped. Comparing two *independent* runs here is
+ * hopeless — the overhead is well under the quantum's run-to-run
+ * noise, which is how the report once showed telemetry making the
+ * loop 2% faster — and even best-of-K per side stays a few percent
+ * noisy, because the minima of two heavy-tailed timing distributions
+ * converge slowly.
  */
 TelemetryStats
 telemetryOverhead()
 {
-    HotPath path(true, 512, true, true);
+    HotPath path;
     telemetry::QuantumTrace trace;
 
     for (std::size_t q = 0; q < 4; ++q)
@@ -428,9 +400,7 @@ telemetryOverhead()
             for (std::size_t b = 0; b < kBlock; ++b)
                 path.quantum(slice + b);
             const double ms =
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - start).count() /
-                static_cast<double>(kBlock);
+                msSince(start) / static_cast<double>(kBlock);
             (with_trace ? traced_ms : bare_ms) = ms;
         }
         slice += kBlock;
@@ -446,6 +416,8 @@ telemetryOverhead()
     stats.medianDiffUs = diffsUs[kRounds / 2];
     stats.overheadPct = std::max(
         0.0, stats.bestDiffUs / (stats.bareMinMs * 1e3) * 100.0);
+    stats.medianPct =
+        stats.medianDiffUs / (stats.bareMinMs * 1e3) * 100.0;
     return stats;
 }
 
@@ -458,7 +430,7 @@ telemetryOverhead()
 std::uint64_t
 steadyStateAllocs()
 {
-    HotPath path(true, 512, true, true);
+    HotPath path;
     // Warm up: slab growth, factor caches, pool batch freelist, DDS
     // scratch. A few quanta so every code path (fallback candidate,
     // adoption) has run at least once.
@@ -473,113 +445,22 @@ steadyStateAllocs()
     return (after - before) / kSteady;
 }
 
-/** One scalar-vs-vector kernel micro row. */
-struct MicroRow
+void
+printRow(const char *name, const Row &row, double budget_ms,
+         const char *budget_note)
 {
-    const char *name;
-    double scalarNs = 0.0;
-    double vectorNs = 0.0;
-    double ratio = 0.0;
-};
-
-template <typename F>
-double
-timeNs(F &&body, std::size_t reps)
-{
-    // One untimed rep warms the caches.
-    body();
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < reps; ++i) {
-        body();
-        // Compiler barrier: without it the optimizer proves the pure
-        // kernel call loop-invariant and hoists it, timing nothing.
-        asm volatile("" ::: "memory");
-    }
-    return std::chrono::duration<double, std::nano>(Clock::now() -
-                                                    start).count() /
-           static_cast<double>(reps);
+    std::printf("%-30s %8.3f %8.3f %8.3f %8.1f  %s\n", name,
+                row.median, row.mean, row.min, budget_ms, budget_note);
 }
 
-/**
- * Time the vector kernels against their scalar reference twins on
- * the hot shapes: rank-8 SGD steps, jobs x configs log-table fills,
- * and 16-wide gathers.
- */
-std::vector<MicroRow>
-microKernels()
+void
+writeRow(std::FILE *f, const char *key, const Row &row)
 {
-    constexpr std::size_t kRank = kernels::padded(8);
-    constexpr std::size_t kCells = 17 * kNumJobConfigs;
-    constexpr std::size_t kReps = 20'000;
-    Rng rng(29);
-
-    std::vector<double> a(kCells), b(kCells), table(kCells);
-    for (std::size_t i = 0; i < kCells; ++i) {
-        a[i] = rng.uniform(0.1, 4.0);
-        b[i] = rng.uniform(0.1, 4.0);
-    }
-    std::vector<std::uint16_t> idx(kBatchJobs);
-    for (auto &v : idx) {
-        v = static_cast<std::uint16_t>(rng.uniformInt(
-            0, static_cast<std::int64_t>(kNumJobConfigs) - 1));
-    }
-    double sink = 0.0;
-
-    std::vector<MicroRow> rows;
-    {
-        MicroRow row{"dot rank-8"};
-        row.scalarNs = timeNs([&] {
-            sink += kernels::detail::dotScalar(a.data(), b.data(),
-                                               kRank);
-        }, kReps);
-        row.vectorNs = timeNs([&] {
-            sink += kernels::detail::dotVec(a.data(), b.data(), kRank);
-        }, kReps);
-        rows.push_back(row);
-    }
-    {
-        MicroRow row{"sgd rank step"};
-        row.scalarNs = timeNs([&] {
-            kernels::detail::sgdRankStepScalar(a.data(), b.data(),
-                                               kRank, 1e-4, 1e-4, 0.1);
-        }, kReps);
-        row.vectorNs = timeNs([&] {
-            kernels::detail::sgdRankStepVec(a.data(), b.data(), kRank,
-                                            1e-4, 1e-4, 0.1);
-        }, kReps);
-        rows.push_back(row);
-    }
-    {
-        MicroRow row{"logFill 17x108"};
-        row.scalarNs = timeNs([&] {
-            sink += kernels::detail::logFillScalar(table.data(),
-                                                   a.data(), kCells,
-                                                   1e-6);
-        }, 200);
-        row.vectorNs = timeNs([&] {
-            sink += kernels::detail::logFillVec(table.data(), a.data(),
-                                                kCells, 1e-6);
-        }, 200);
-        rows.push_back(row);
-    }
-    {
-        MicroRow row{"gatherSum 16 jobs"};
-        row.scalarNs = timeNs([&] {
-            sink += kernels::detail::gatherSumScalar(
-                table.data(), kNumJobConfigs, idx.data(), kBatchJobs);
-        }, kReps);
-        row.vectorNs = timeNs([&] {
-            sink += kernels::detail::gatherSumVec(
-                table.data(), kNumJobConfigs, idx.data(), kBatchJobs);
-        }, kReps);
-        rows.push_back(row);
-    }
-    for (MicroRow &row : rows)
-        row.ratio = row.scalarNs / row.vectorNs;
-    // Keep the side effects alive without printing garbage.
-    if (sink == 42.424242)
-        std::printf("\n");
-    return rows;
+    std::fprintf(f,
+                 "  \"%s_median\": %.4f,\n"
+                 "  \"%s_mean\": %.4f,\n"
+                 "  \"%s_min\": %.4f,\n",
+                 key, row.median, key, row.mean, key, row.min);
 }
 
 } // namespace
@@ -589,113 +470,75 @@ main(int argc, char **argv)
 {
     const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
     setInformEnabled(false);
-    banner("bench_hotpath", "decision-quantum hot path before/after",
+    banner("bench_hotpath", "decision-quantum hot path vs Table II",
            "Table II budget: 4.8 ms SGD + 1.3 ms DDS per 100 ms "
            "quantum");
 
-    const RunStats before = run(false, 0, false, false);
-    const RunStats after = run(true, 512, true, true);
-    const Timing churn = churnReconstruct();
+    const SteadyStats steady = steadyQuanta();
+    const Row churn = churnReconstruct();
     const double region_us = poolRegionUs();
     const TelemetryStats telem = telemetryOverhead();
-    const double speedup = before.meanMs / after.meanMs;
-    const double speedup_min = before.minMs / after.minMs;
     const std::uint64_t allocs = steadyStateAllocs();
-    const std::vector<MicroRow> micro = microKernels();
 
-    std::printf("%-28s %10s %10s %14s\n", "configuration", "mean ms",
-                "min ms", "mean objective");
-    std::printf("%-28s %10.3f %10.3f %14.4f\n",
-                "before (cold/full/ref)", before.meanMs, before.minMs,
-                before.meanObjective);
-    std::printf("%-28s %10.3f %10.3f %14.4f\n",
-                "after (warm/delta/arena)", after.meanMs, after.minMs,
-                after.meanObjective);
-    std::printf("combined speedup: %.2fx (min-ms %.2fx)\n", speedup,
-                speedup_min);
-    std::printf("greedy knapsack seed (shipped, per quantum): mean "
-                "%.3f ms, min %.3f ms\n",
-                after.seedMeanMs, after.seedMinMs);
-    std::printf("parallel DDS (shipped, 8 logical workers, per "
-                "quantum): mean %.3f ms, min %.3f ms\n",
-                after.ddsMeanMs, after.ddsMinMs);
+    std::printf("%-30s %8s %8s %8s %8s  (%zu quanta per row)\n",
+                "row (ms per quantum)", "median", "mean", "min",
+                "budget", kQuanta);
+    printRow("quantum: reconstruct + DDS", steady.quantum,
+             kQuantumBudgetMs, "Table II SGD + DDS");
+    printRow("reconstruct x3, warm", steady.reconstruct, kSgdBudgetMs,
+             "Table II SGD");
+    printRow("reconstruct x3, after churn", churn, kSgdBudgetMs,
+             "Table II SGD (BIPS + power cold)");
+    printRow("greedy knapsack seed", steady.seed, kDdsBudgetMs,
+             "Table II DDS, shared with the search");
+    printRow("parallel DDS, 8 workers", steady.dds, kDdsBudgetMs,
+             "Table II DDS");
+    std::printf("mean search objective: %.4f\n", steady.meanObjective);
     std::printf("empty parallelFor(8) round trip: median %.2f us\n",
                 region_us);
-    std::printf("churn quantum reconstructions (BIPS + power cold): "
-                "mean %.3f ms, min %.3f ms\n",
-                churn.meanMs, churn.minMs);
-    std::printf("telemetry overhead (paired diff best %+.1f / median "
-                "%+.1f us over %.3f ms floor): %.2f%%\n",
-                telem.bestDiffUs, telem.medianDiffUs, telem.bareMinMs,
-                telem.overheadPct);
+    std::printf("telemetry overhead (paired diff median %+.1f / best "
+                "%+.1f us over %.3f ms floor): median %.2f%%, gated "
+                "best %.2f%%\n",
+                telem.medianDiffUs, telem.bestDiffUs, telem.bareMinMs,
+                telem.medianPct, telem.overheadPct);
     std::printf("steady-state allocations/quantum: %llu\n",
                 static_cast<unsigned long long>(allocs));
-
-    std::printf("\n%-28s %10s %10s %8s  (backend: %s)\n", "kernel",
-                "scalar ns", "vector ns", "ratio",
-                kernels::backendName());
-    for (const MicroRow &row : micro) {
-        std::printf("%-28s %10.2f %10.2f %7.2fx\n", row.name,
-                    row.scalarNs, row.vectorNs, row.ratio);
-    }
 
     if (FILE *f = std::fopen("BENCH_hotpath.json", "w")) {
         std::fprintf(f, "{\n");
         writeProvenance(f, kQuanta);
+        std::fprintf(f, "  \"quanta\": %zu,\n", kQuanta);
+        writeRow(f, "quantum_ms", steady.quantum);
+        writeRow(f, "reconstruct_ms", steady.reconstruct);
+        writeRow(f, "churn_reconstruct_ms", churn);
+        writeRow(f, "seed_ms", steady.seed);
+        writeRow(f, "dds_ms", steady.dds);
         std::fprintf(f,
-                     "  \"quanta\": %zu,\n"
-                     "  \"before_mean_ms\": %.4f,\n"
-                     "  \"before_min_ms\": %.4f,\n"
-                     "  \"before_mean_objective\": %.6f,\n"
-                     "  \"after_mean_ms\": %.4f,\n"
-                     "  \"after_min_ms\": %.4f,\n"
-                     "  \"after_mean_objective\": %.6f,\n"
-                     "  \"speedup\": %.4f,\n"
-                     "  \"speedup_min_ms\": %.4f,\n"
-                     "  \"seed_ms_mean\": %.4f,\n"
-                     "  \"seed_ms_min\": %.4f,\n"
-                     "  \"dds_ms_mean\": %.4f,\n"
-                     "  \"dds_ms_min\": %.4f,\n"
+                     "  \"mean_objective\": %.6f,\n"
                      "  \"pool_region_us_median\": %.3f,\n"
-                     "  \"churn_reconstruct_ms_mean\": %.4f,\n"
-                     "  \"churn_reconstruct_ms_min\": %.4f,\n"
                      "  \"telemetry_bare_min_ms\": %.4f,\n"
                      "  \"telemetry_traced_min_ms\": %.4f,\n"
                      "  \"telemetry_best_paired_diff_us\": %.3f,\n"
                      "  \"telemetry_median_paired_diff_us\": %.3f,\n"
                      "  \"telemetry_overhead_pct\": %.4f,\n"
-                     "  \"steady_state_allocs_per_quantum\": %llu,\n"
-                     "  \"kernel_backend\": \"%s\",\n"
-                     "  \"micro_kernels\": [\n",
-                     kQuanta, before.meanMs, before.minMs,
-                     before.meanObjective, after.meanMs, after.minMs,
-                     after.meanObjective, speedup, speedup_min,
-                     after.seedMeanMs, after.seedMinMs,
-                     after.ddsMeanMs, after.ddsMinMs, region_us,
-                     churn.meanMs,
-                     churn.minMs, telem.bareMinMs, telem.tracedMinMs,
-                     telem.bestDiffUs, telem.medianDiffUs,
-                     telem.overheadPct,
-                     static_cast<unsigned long long>(allocs),
-                     kernels::backendName());
-        for (std::size_t i = 0; i < micro.size(); ++i) {
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", \"scalar_ns\": %.2f, "
-                         "\"vector_ns\": %.2f, \"ratio\": %.3f}%s\n",
-                         micro[i].name, micro[i].scalarNs,
-                         micro[i].vectorNs, micro[i].ratio,
-                         i + 1 < micro.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
+                     "  \"telemetry_overhead_median_pct\": %.4f,\n"
+                     "  \"steady_state_allocs_per_quantum\": %llu\n"
+                     "}\n",
+                     steady.meanObjective, region_us, telem.bareMinMs,
+                     telem.tracedMinMs, telem.bestDiffUs,
+                     telem.medianDiffUs, telem.overheadPct,
+                     telem.medianPct,
+                     static_cast<unsigned long long>(allocs));
         std::fclose(f);
         std::printf("wrote BENCH_hotpath.json\n");
     }
 
     if (smoke) {
         bool ok = true;
-        if (speedup_min < 1.5) {
-            std::printf("SMOKE FAIL: min-ms speedup %.2fx < 1.5x\n",
-                        speedup_min);
+        if (steady.quantum.median > kQuantumBudgetMs) {
+            std::printf("SMOKE FAIL: median quantum %.3f ms > %.1f ms "
+                        "Table II budget\n",
+                        steady.quantum.median, kQuantumBudgetMs);
             ok = false;
         }
         if (allocs != 0) {

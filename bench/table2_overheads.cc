@@ -14,6 +14,7 @@
 
 #include "bench_common.hh"
 #include "cf/engine.hh"
+#include "common/arena.hh"
 #include "common/thread_pool.hh"
 #include "search/dds.hh"
 #include "search/ga.hh"
@@ -89,7 +90,8 @@ void
 BM_TripleReconstructPooled(benchmark::State &state)
 {
     // The runtime's reconstructAll(): three engines on the shared
-    // pool, steady state (warm factors after the first call).
+    // pool and one per-quantum arena, steady state (warm factors
+    // after the first call).
     const TrainingTables &tables = trainingTables();
     CfEngine bips(tables.bips, 17, kNumJobConfigs);
     CfEngine power(tables.power, 17, kNumJobConfigs);
@@ -107,12 +109,14 @@ BM_TripleReconstructPooled(benchmark::State &state)
     }
     latency.observe(0, kNumJobConfigs - 1, 5e-3);
     Matrix pred_bips, pred_power, pred_latency;
+    ScratchArena arena;
     for (auto _ : state) {
+        arena.reset();
         ThreadPool::global().parallelFor(3, [&](std::size_t metric) {
             switch (metric) {
-              case 0: bips.predictInto(pred_bips); break;
-              case 1: power.predictInto(pred_power); break;
-              default: latency.predictInto(pred_latency); break;
+              case 0: bips.predictInto(pred_bips, arena); break;
+              case 1: power.predictInto(pred_power, arena); break;
+              default: latency.predictInto(pred_latency, arena); break;
             }
         });
         benchmark::DoNotOptimize(pred_bips);
@@ -169,34 +173,6 @@ BM_SerialDds(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SerialDds)->Unit(benchmark::kMillisecond);
-
-void
-BM_DdsReference(benchmark::State &state)
-{
-    // Full evaluatePoint per candidate (the pre-delta inner loop).
-    const SearchSetup setup;
-    DdsOptions options;
-    options.threads = 8;
-    options.useDeltaEval = false;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(parallelDds(setup.ctx, options));
-    }
-}
-BENCHMARK(BM_DdsReference)->Unit(benchmark::kMillisecond);
-
-void
-BM_DdsDelta(benchmark::State &state)
-{
-    // O(#perturbed-dims) delta evaluation per candidate.
-    const SearchSetup setup;
-    DdsOptions options;
-    options.threads = 8;
-    options.useDeltaEval = true;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(parallelDds(setup.ctx, options));
-    }
-}
-BENCHMARK(BM_DdsDelta)->Unit(benchmark::kMillisecond);
 
 void
 BM_GeneticSearch(benchmark::State &state)

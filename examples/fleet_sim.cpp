@@ -159,9 +159,8 @@ printDag(const FleetSummary &s)
 void
 printSummary(const FleetSummary &s)
 {
-    std::printf("placement=%s power=%s rack=%.0fW\n",
-                s.placementPolicy.c_str(), s.powerPolicy.c_str(),
-                s.rackBudgetW);
+    std::printf("placement=%s rack=%.0fW\n",
+                s.placementPolicy.c_str(), s.rackBudgetW);
     if (s.nodes.size() <= kMaxNodeTableRows) {
         std::printf("%5s %7s %9s %9s %10s %9s %5s %5s\n", "node",
                     "QoS%", "job-gmean", "P(W)", "budget(W)",

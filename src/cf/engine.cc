@@ -73,25 +73,14 @@ Matrix
 CfEngine::predict() const
 {
     Matrix jobs;
-    predictInto(jobs);
-    return jobs;
-}
-
-void
-CfEngine::predictInto(Matrix &out) const
-{
     ScratchArena arena;
-    predictInto(out, arena);
+    predictInto(jobs, arena);
+    return jobs;
 }
 
 void
 CfEngine::predictInto(Matrix &out, ScratchArena &arena) const
 {
-    if (!factorWarmStart_) {
-        // No warm starts: forget the shape (keeping the capacity) so
-        // every run is an identical cold start.
-        factors_.invalidate();
-    }
     const SgdRunStats stats = reconstructInto(
         ratings_, options_,
         rowContext_.empty() ? nullptr : &rowContext_,

@@ -65,18 +65,10 @@ class CfEngine
 
     /**
      * Like predict(), but writes into @p out (resized to
-     * numJobs x cols if needed) instead of returning a fresh matrix.
-     * The runtime calls this once per metric per decision quantum;
-     * reusing the caller's buffer avoids three matrix allocations per
-     * quantum.
-     */
-    void predictInto(Matrix &out) const;
-
-    /**
-     * Like predictInto(Matrix&), with every transient of the run
-     * served from @p arena — the scheduler threads its per-quantum
-     * arena through here so the steady-state reconstruction performs
-     * zero heap allocations.
+     * numJobs x cols if needed) with every transient of the run
+     * served from @p arena. The runtime calls this once per metric per
+     * decision quantum, threading its per-quantum arena through, so
+     * the steady-state reconstruction performs zero heap allocations.
      */
     void predictInto(Matrix &out, ScratchArena &arena) const;
 
@@ -84,16 +76,11 @@ class CfEngine
     std::size_t lastIterations() const { return lastIterations_; }
 
     /**
-     * Enable/disable reusing the previous reconstruction's factors as
-     * the next one's starting point (on by default). The factors are
-     * invalidated automatically on clearJob() — a churned row makes
-     * the old factors a misleading start — and can be dropped
-     * explicitly with invalidateFactors().
+     * Drop the cached factors; the next predict() cold-starts. Each
+     * reconstruction otherwise starts from the previous one's
+     * factors. clearJob() drops them too: a churned row makes the old
+     * factors a misleading start.
      */
-    void setFactorWarmStart(bool enable) { factorWarmStart_ = enable; }
-    bool factorWarmStart() const { return factorWarmStart_; }
-
-    /** Drop the cached factors; the next predict() cold-starts. */
     void invalidateFactors() { factors_.invalidate(); }
 
     /** True when a warm start is available for the next predict(). */
@@ -108,7 +95,6 @@ class CfEngine
     RatingMatrix ratings_;
     SgdOptions options_;
     std::vector<double> rowContext_; //!< empty = no context
-    bool factorWarmStart_ = true;
     mutable SgdFactors factors_;     //!< last predict()'s factors
     mutable std::size_t lastIterations_ = 0;
 };

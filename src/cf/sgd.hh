@@ -57,7 +57,10 @@ struct SgdOptions
      * observed cells, instead of every observation — the check runs
      * once per epoch and only steers termination, so a stable
      * subsample is as informative at a fraction of the cost. 0 uses
-     * every cell. The reported trainRmse is always the full RMSE.
+     * every cell: the full scan that
+     * WarmStartTest.SubsampledConvergenceKeepsAccuracy holds the
+     * subsample against. The reported trainRmse is always the full
+     * RMSE.
      */
     std::size_t convergenceSamples = 512;
     /**

@@ -74,14 +74,12 @@ FleetController::FleetController(const SystemParams &params,
              opts_.seed ^ 0x94d049bb133111ebULL,
              withTenantWeights(opts_.churn, opts_.tenants)),
       ledger_(opts_.tenants, opts_.accounting),
-      power_(opts_.powerPolicy,
-             PowerManagerOptions{
-                 .rackBudgetW = opts_.rackBudgetFrac *
-                     static_cast<double>(opts_.numNodes) *
-                     node_max_power_w,
-                 .nodeFloorW = opts_.nodeFloorFrac * node_max_power_w,
-                 .nodeCapW = node_max_power_w,
-                 .qosBoostW = opts_.qosBoostW}),
+      power_(PowerManagerOptions{
+          .rackBudgetW = opts_.rackBudgetFrac *
+              static_cast<double>(opts_.numNodes) * node_max_power_w,
+          .nodeFloorW = opts_.nodeFloorFrac * node_max_power_w,
+          .nodeCapW = node_max_power_w,
+          .qosBoostW = opts_.qosBoostW}),
       churnArenas_(ThreadPool::global().slotCount())
 {
     CS_ASSERT(opts_.numNodes > 0, "fleet needs at least one node");
@@ -117,10 +115,8 @@ FleetController::FleetController(const SystemParams &params,
         // staggered phase, heterogeneous popularity. Node 0 carries
         // the largest amplitude so index-blind first-fit placement
         // piles work exactly where load is highest.
-        const double phase = opts_.staggerPhases
-            ? opts_.scenario.daySeconds * static_cast<double>(i) /
-                static_cast<double>(n)
-            : 0.0;
+        const double phase = opts_.scenario.daySeconds *
+            static_cast<double>(i) / static_cast<double>(n);
         const double scale = n > 1
             ? opts_.loadScaleMax -
                 (opts_.loadScaleMax - opts_.loadScaleMin) *
@@ -977,7 +973,6 @@ FleetController::summary()
     s.quanta = quantum_;
     s.rackBudgetW = power_.options().rackBudgetW;
     s.placementPolicy = placement_.name();
-    s.powerPolicy = powerPolicyName(power_.policy());
     s.arrivals = arrivals_;
     s.droppedArrivals = droppedArrivals_;
     s.droppedQueued = droppedQueued_;

@@ -79,11 +79,10 @@ struct FleetOptions
     std::size_t batchSlotsPerNode = 16;
     std::uint64_t seed = 2026;
 
-    /** The shared day every node rides (phase-staggered per node). */
+    /** The shared day every node rides, its diurnal phase staggered
+     *  across the day per node (replicas in different "time
+     *  zones"). */
     CompressedDayScenario scenario;
-    /** Stagger each node's diurnal phase across the day (replicas in
-     *  different "time zones"); false runs them in lockstep. */
-    bool staggerPhases = true;
     /** Per-node load-amplitude spread: node i's diurnal wave is
      *  scaled into [loadScaleMin, loadScaleMax] (heterogeneous
      *  replica popularity). Equal values disable the spread. */
@@ -104,8 +103,7 @@ struct FleetOptions
     double rackBudgetFrac = 0.70;
     /** Per-node floor as a fraction of nodeMaxPowerW. */
     double nodeFloorFrac = 0.30;
-    PowerPolicy powerPolicy = PowerPolicy::HeadroomRebalance;
-    /** HeadroomRebalance QoS boost, W (see PowerManagerOptions). */
+    /** Power-split QoS boost, W (see PowerManagerOptions). */
     double qosBoostW = 10.0;
 
     ChurnOptions churn;
@@ -241,7 +239,6 @@ struct FleetSummary
     double gmeanMakespanQuanta = 0.0;
     double meanMakespanQuanta = 0.0;
     std::string placementPolicy;
-    std::string powerPolicy;
     /** Per-account accounting, in account order (always at least the
      *  anonymous default account). */
     std::vector<AccountSummary> accounts;

@@ -14,20 +14,8 @@ constexpr std::size_t kSplitChunk = 64;
 
 } // namespace
 
-const char *
-powerPolicyName(PowerPolicy policy)
-{
-    switch (policy) {
-      case PowerPolicy::Static: return "static";
-      case PowerPolicy::ProportionalToLoad: return "proportional";
-      case PowerPolicy::HeadroomRebalance: return "headroom";
-    }
-    return "?";
-}
-
-ClusterPowerManager::ClusterPowerManager(PowerPolicy policy,
-                                         PowerManagerOptions opts)
-    : policy_(policy), opts_(opts)
+ClusterPowerManager::ClusterPowerManager(PowerManagerOptions opts)
+    : opts_(opts)
 {
     CS_ASSERT(opts_.rackBudgetW > 0.0, "rack budget must be positive");
     CS_ASSERT(opts_.nodeFloorW >= 0.0, "negative node floor");
@@ -39,27 +27,16 @@ ClusterPowerManager::ClusterPowerManager(PowerPolicy policy,
 double
 ClusterPowerManager::demandWeight(const NodeView &node) const
 {
-    switch (policy_) {
-      case PowerPolicy::Static:
-        return 1.0;
-      case PowerPolicy::ProportionalToLoad:
-        // A small base keeps a zero-load replica from being pinned to
-        // the bare floor — it still runs batch work.
-        return 0.1 + std::max(node.loadFraction, 0.0);
-      case PowerPolicy::HeadroomRebalance: {
-        // Demand = what the node actually drew last quantum, with
-        // a boost when it violated QoS (it needs room to escalate
-        // the LC configuration). Before the first quantum every
-        // node demands equally.
-        double demand = node.stepped
-            ? std::max(node.measuredPowerW, opts_.nodeFloorW)
-            : 1.0;
-        if (node.qosViolated)
-            demand += opts_.qosBoostW;
-        return demand;
-      }
-    }
-    return 1.0;
+    // Demand = what the node actually drew last quantum, with a
+    // boost when it violated QoS (it needs room to escalate the LC
+    // configuration). Before the first quantum every node demands
+    // equally.
+    double demand = node.stepped
+        ? std::max(node.measuredPowerW, opts_.nodeFloorW)
+        : 1.0;
+    if (node.qosViolated)
+        demand += opts_.qosBoostW;
+    return demand;
 }
 
 void

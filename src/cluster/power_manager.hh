@@ -7,18 +7,13 @@
  * power budgets" (Section I); this is that layer for the fleet
  * simulator. Once per quantum the manager divides the rack budget
  * into per-node budgets, which the controller feeds to each node via
- * ColocationRun::overridePowerBudgetW. Three policies:
+ * ColocationRun::overridePowerBudgetW. Shares follow last quantum's
+ * *measured* draw (plus a boost for QoS-violating nodes), so budget
+ * parked at idle nodes flows to the nodes actually consuming it;
+ * before the first quantum every node demands equally.
  *
- *  - Static: equal shares, the oblivious baseline.
- *  - ProportionalToLoad: shares follow each replica's offered LC
- *    load, so nodes riding their diurnal peak get more headroom than
- *    nodes in their trough.
- *  - HeadroomRebalance: shares follow last quantum's *measured* draw
- *    (plus a boost for QoS-violating nodes), so budget parked at
- *    idle nodes flows to the nodes actually consuming it.
- *
- * All policies are budget-conserving — the shares sum to the rack
- * budget (less any slack created by per-node caps) — and respect a
+ * The split is budget-conserving — the shares sum to the rack budget
+ * (less any slack created by per-node caps) — and respects a
  * per-node floor so no node is starved below the power its LC
  * service needs to stay alive.
  */
@@ -35,17 +30,6 @@
 namespace cuttlesys {
 namespace cluster {
 
-/** How the rack budget is divided across nodes each quantum. */
-enum class PowerPolicy
-{
-    Static,             //!< equal shares
-    ProportionalToLoad, //!< shares follow offered LC load
-    HeadroomRebalance,  //!< shares follow measured draw + QoS need
-};
-
-/** Printable policy name ("static", "proportional", "headroom"). */
-const char *powerPolicyName(PowerPolicy policy);
-
 /** Tuning for ClusterPowerManager. */
 struct PowerManagerOptions
 {
@@ -55,18 +39,17 @@ struct PowerManagerOptions
      *  0 disables capping. Capped-off watts are redistributed once
      *  to uncapped nodes; any remainder is left as rack slack. */
     double nodeCapW = 0.0;
-    /** HeadroomRebalance: extra demand weight (W) for a node whose
-     *  last quantum violated QoS. */
+    /** Extra demand weight (W) for a node whose last quantum
+     *  violated QoS. */
     double qosBoostW = 10.0;
 };
 
-/** Splits the rack budget according to the chosen policy. */
+/** Splits the rack budget by measured demand. */
 class ClusterPowerManager
 {
   public:
-    ClusterPowerManager(PowerPolicy policy, PowerManagerOptions opts);
+    explicit ClusterPowerManager(PowerManagerOptions opts);
 
-    PowerPolicy policy() const { return policy_; }
     const PowerManagerOptions &options() const { return opts_; }
 
     /**
@@ -86,10 +69,9 @@ class ClusterPowerManager
                ThreadPool &pool = ThreadPool::global());
 
   private:
-    /** The policy's demand weight for one node (pure per-view). */
+    /** One node's demand weight (pure per-view). */
     double demandWeight(const NodeView &node) const;
 
-    PowerPolicy policy_;
     PowerManagerOptions opts_;
     std::vector<double> weights_;   //!< per-quantum scratch
     std::vector<double> blockSums_; //!< per-block weight partials

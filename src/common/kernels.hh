@@ -22,8 +22,9 @@
  *    performed as two roundings.
  *
  * The public entry points call the lane-blocked detail::*Vec
- * variants. The detail::*Scalar twins are the plain-loop reference
- * the equivalence tests compare them against.
+ * variants. Nothing dispatches to the detail::*Scalar twins: they
+ * are the plain-loop reference that kernels_test's
+ * Kernels.*VecMatchesScalarBitwise cases compare them against.
  */
 
 #ifndef CUTTLESYS_COMMON_KERNELS_HH

@@ -42,7 +42,8 @@ struct DdsOptions
      * incumbent's accumulators instead of re-walking every job
      * (incumbent metrics are always recomputed exactly, so search
      * results match the reference path — see DeltaEvaluator). Off =
-     * the reference evaluatePoint path, kept for verification.
+     * the reference evaluatePoint path, the oracle DdsDeltaTest.*
+     * compares the delta path against bit for bit.
      */
     bool useDeltaEval = true;
     /**

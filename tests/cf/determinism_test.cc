@@ -4,8 +4,8 @@
  *
  * The replay contract (DESIGN.md) requires the SGD reconstruction to
  * produce bit-identical predictions for a fixed seed at any thread
- * count, and the arena-fed predictInto overload to change where
- * transients live without changing a single output bit.
+ * count, and predict() and the arena-fed predictInto() to differ
+ * only in where transients live, not in a single output bit.
  */
 
 #include <bit>
@@ -65,7 +65,7 @@ runHistory(std::size_t threads, bool use_arena)
             arena.reset();
             engine.predictInto(pred, arena);
         } else {
-            engine.predictInto(pred);
+            pred = engine.predict();
         }
         history.push_back(pred);
         // Trickle in a fresh measurement so the next quantum warm

@@ -2,8 +2,9 @@
  * @file
  * Tests for the cross-quantum warm-start path of the reconstruction:
  * factors returned by one reconstruct() feed the next, the engine
- * caches and invalidates them, predictInto() reuses buffers, and the
- * subsampled convergence check does not cost accuracy.
+ * caches and invalidates them, the arena-fed predictInto() matches
+ * predict() and reuses buffers, and the subsampled convergence check
+ * does not cost accuracy.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "cf/engine.hh"
 #include "cf/sgd.hh"
+#include "common/arena.hh"
 #include "common/rng.hh"
 
 namespace cuttlesys {
@@ -126,13 +128,16 @@ TEST(WarmStartTest, WarmStartCanBeDisabled)
     Rng rng(61);
     const Matrix training = lowRankMatrix(10, 16, 3, rng);
     CfEngine engine(training, 1, 16);
-    engine.setFactorWarmStart(false);
     engine.observe(0, 3, training(2, 3));
 
+    // Invalidating the factors before each predict() makes every run
+    // the same cold start, bit for bit.
+    engine.invalidateFactors();
     const Matrix a = engine.predict();
+    ASSERT_TRUE(engine.hasCachedFactors());
+    engine.invalidateFactors();
     const Matrix b = engine.predict();
-    // Without warm starts every predict() is an identical cold run.
-    EXPECT_NEAR(a.subtract(b).maxAbs(), 0.0, 1e-12);
+    EXPECT_EQ(a.subtract(b).maxAbs(), 0.0);
 }
 
 TEST(WarmStartTest, PredictIntoMatchesPredict)
@@ -140,19 +145,25 @@ TEST(WarmStartTest, PredictIntoMatchesPredict)
     Rng rng(63);
     const Matrix training = lowRankMatrix(10, 16, 3, rng);
     CfEngine engine(training, 2, 16);
-    engine.setFactorWarmStart(false); // identical runs for comparison
     engine.observe(1, 5, training(4, 5));
 
+    // Cold-start each run so all three are comparable.
     const Matrix by_value = engine.predict();
+    ScratchArena arena;
     Matrix into;
-    engine.predictInto(into);
+    engine.invalidateFactors();
+    engine.predictInto(into, arena);
     ASSERT_EQ(into.rows(), by_value.rows());
     ASSERT_EQ(into.cols(), by_value.cols());
-    EXPECT_NEAR(into.subtract(by_value).maxAbs(), 0.0, 1e-12);
+    EXPECT_EQ(into.subtract(by_value).maxAbs(), 0.0);
 
     // A second call reuses the existing buffer (shape already right).
-    engine.predictInto(into);
-    EXPECT_NEAR(into.subtract(by_value).maxAbs(), 0.0, 1e-12);
+    const double *buffer = into.data();
+    arena.reset();
+    engine.invalidateFactors();
+    engine.predictInto(into, arena);
+    EXPECT_EQ(into.data(), buffer);
+    EXPECT_EQ(into.subtract(by_value).maxAbs(), 0.0);
 }
 
 TEST(WarmStartTest, SubsampledConvergenceKeepsAccuracy)

@@ -71,7 +71,6 @@ TEST(FleetTest, RunsTheConfiguredDay)
     EXPECT_GT(s.totalBatchInstructions, 0.0);
     EXPECT_GT(s.rackBudgetW, 0.0);
     EXPECT_EQ(s.placementPolicy, "backfill-binpack");
-    EXPECT_EQ(s.powerPolicy, "headroom");
 }
 
 /** The conservation law every fleet run must satisfy. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the cluster power manager: budget conservation, floors,
- * caps, and the per-policy weighting rules.
+ * caps, and the demand weighting rules.
  */
 
 #include <gtest/gtest.h>
@@ -38,12 +38,12 @@ sum(const std::vector<double> &v)
     return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
-TEST(PowerManagerTest, StaticSplitsEqually)
+TEST(PowerManagerTest, EqualDemandSplitsEqually)
 {
-    ClusterPowerManager mgr(PowerPolicy::Static,
-                            {.rackBudgetW = 400.0});
+    // Equal measured draw: equal shares, whatever the offered load.
+    ClusterPowerManager mgr({.rackBudgetW = 400.0});
     const std::vector<NodeView> nodes = {
-        makeView(0, 0.9, 70.0), makeView(1, 0.1, 20.0),
+        makeView(0, 0.9, 50.0), makeView(1, 0.1, 50.0),
         makeView(2, 0.5, 50.0), makeView(3, 0.5, 50.0)};
     std::vector<double> out;
     mgr.split(nodes, out);
@@ -54,9 +54,7 @@ TEST(PowerManagerTest, StaticSplitsEqually)
 
 TEST(PowerManagerTest, FloorsAreRespectedAndBudgetConserved)
 {
-    ClusterPowerManager mgr(
-        PowerPolicy::Static,
-        {.rackBudgetW = 100.0, .nodeFloorW = 20.0});
+    ClusterPowerManager mgr({.rackBudgetW = 100.0, .nodeFloorW = 20.0});
     const std::vector<NodeView> nodes = {
         makeView(0, 0.5, 50.0), makeView(1, 0.5, 50.0),
         makeView(2, 0.5, 50.0), makeView(3, 0.5, 50.0)};
@@ -69,25 +67,9 @@ TEST(PowerManagerTest, FloorsAreRespectedAndBudgetConserved)
     EXPECT_NEAR(sum(out), 100.0, 1e-9);
 }
 
-TEST(PowerManagerTest, ProportionalFollowsOfferedLoad)
-{
-    ClusterPowerManager mgr(PowerPolicy::ProportionalToLoad,
-                            {.rackBudgetW = 120.0});
-    // Weights are 0.1 + load: 0.3 vs 0.9 -> a 1:3 split.
-    const std::vector<NodeView> nodes = {makeView(0, 0.2, 40.0),
-                                         makeView(1, 0.8, 40.0)};
-    std::vector<double> out;
-    mgr.split(nodes, out);
-    EXPECT_NEAR(out[0], 30.0, 1e-9);
-    EXPECT_NEAR(out[1], 90.0, 1e-9);
-    EXPECT_NEAR(sum(out), 120.0, 1e-9);
-}
-
 TEST(PowerManagerTest, HeadroomRebalanceFollowsMeasuredDraw)
 {
-    ClusterPowerManager mgr(
-        PowerPolicy::HeadroomRebalance,
-        {.rackBudgetW = 110.0, .nodeFloorW = 10.0});
+    ClusterPowerManager mgr({.rackBudgetW = 110.0, .nodeFloorW = 10.0});
     // Demands 80:20 over a distributable 90 W on top of the floors.
     const std::vector<NodeView> nodes = {makeView(0, 0.5, 80.0),
                                          makeView(1, 0.5, 20.0)};
@@ -103,7 +85,7 @@ TEST(PowerManagerTest, QosBoostShiftsBudgetTowardViolators)
     PowerManagerOptions opts;
     opts.rackBudgetW = 100.0;
     opts.qosBoostW = 10.0;
-    ClusterPowerManager mgr(PowerPolicy::HeadroomRebalance, opts);
+    ClusterPowerManager mgr(opts);
     const std::vector<NodeView> equal = {makeView(0, 0.5, 40.0),
                                          makeView(1, 0.5, 40.0)};
     std::vector<NodeView> boosted = equal;
@@ -120,8 +102,7 @@ TEST(PowerManagerTest, UnsteppedNodesDemandEqually)
 {
     // Before the first quantum there is no measured draw; headroom
     // rebalance degrades to an equal split.
-    ClusterPowerManager mgr(PowerPolicy::HeadroomRebalance,
-                            {.rackBudgetW = 90.0});
+    ClusterPowerManager mgr({.rackBudgetW = 90.0});
     const std::vector<NodeView> nodes = {
         makeView(0, 0.9, 0.0, false, /*stepped=*/false),
         makeView(1, 0.1, 0.0, false, /*stepped=*/false),
@@ -137,7 +118,7 @@ TEST(PowerManagerTest, CapClipsAndRedistributesOnce)
     PowerManagerOptions opts;
     opts.rackBudgetW = 300.0;
     opts.nodeCapW = 150.0;
-    ClusterPowerManager mgr(PowerPolicy::HeadroomRebalance, opts);
+    ClusterPowerManager mgr(opts);
     // Demands 100:10:10 -> raw shares 250/25/25; node 0 is clipped to
     // the cap and the 100 clipped-off watts split across the other
     // two.
@@ -160,7 +141,7 @@ TEST(PowerManagerTest, AllCappedLeavesRackSlack)
     PowerManagerOptions opts;
     opts.rackBudgetW = 300.0;
     opts.nodeCapW = 90.0;
-    ClusterPowerManager mgr(PowerPolicy::Static, opts);
+    ClusterPowerManager mgr(opts);
     const std::vector<NodeView> nodes = {makeView(0, 0.5, 50.0),
                                          makeView(1, 0.5, 50.0),
                                          makeView(2, 0.5, 50.0)};
@@ -173,10 +154,10 @@ TEST(PowerManagerTest, AllCappedLeavesRackSlack)
 
 TEST(PowerManagerTest, OutputCapacityIsReusedAcrossQuanta)
 {
-    ClusterPowerManager mgr(PowerPolicy::Static,
-                            {.rackBudgetW = 200.0});
-    const std::vector<NodeView> nodes = {makeView(0, 0.5, 50.0),
-                                         makeView(1, 0.5, 50.0)};
+    ClusterPowerManager mgr({.rackBudgetW = 200.0});
+    const std::vector<NodeView> nodes = {
+        makeView(0, 0.5, 0.0, false, /*stepped=*/false),
+        makeView(1, 0.5, 0.0, false, /*stepped=*/false)};
     std::vector<double> out;
     mgr.split(nodes, out);
     const double *data = out.data();

@@ -82,7 +82,6 @@ struct QuantumLoop
     QuantumLoop()
     {
         for (CfEngine *e : {&bips, &power}) {
-            e->setFactorWarmStart(true);
             e->options().threads = 4;
             e->options().convergenceSamples = 512;
         }
@@ -429,8 +428,7 @@ struct ControllerQuantum
                     .maxPendingJobs = 2 * kNodes,
                     .tenantArrivalWeights = {0.65, 0.25, 0.10}}),
           ledger(tenants()),
-          power(cluster::PowerPolicy::HeadroomRebalance,
-                cluster::PowerManagerOptions{.rackBudgetW = 24000.0,
+          power(cluster::PowerManagerOptions{.rackBudgetW = 24000.0,
                                              .nodeFloorW = 30.0,
                                              .nodeCapW = 130.0,
                                              .qosBoostW = 10.0})
