@@ -1,16 +1,9 @@
 /**
  * @file
- * Shared support for the figure/table reproduction benches.
- *
- * Every bench binary regenerates one table or figure from the paper:
- * it prints the same rows/series the paper reports, alongside the
- * paper's own numbers where they are quotable, so EXPERIMENTS.md can
- * be filled by running every binary under build/bench/ in turn.
- *
- * Heavyweight shared state (max-QPS calibration, offline training
- * tables) is built once per process and cached. Environment knobs:
- *   CS_BENCH_MIXES    mixes per LC service in sweep benches (default 2)
- *   CS_BENCH_DURATION simulated seconds per run (default 0.8)
+ * Shared support for the benches: the reference system, its
+ * calibrated services, the offline training tables and the evaluation
+ * mixes, each built once per process and cached, and the provenance
+ * line every BENCH_*.json opens with.
  */
 
 #ifndef CUTTLESYS_BENCH_COMMON_HH
@@ -18,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,64 +91,6 @@ evaluationMixes()
     return mixes;
 }
 
-inline std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *v = std::getenv(name)) {
-        const long parsed = std::atol(v);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    return fallback;
-}
-
-inline double
-envDouble(const char *name, double fallback)
-{
-    if (const char *v = std::getenv(name)) {
-        const double parsed = std::atof(v);
-        if (parsed > 0.0)
-            return parsed;
-    }
-    return fallback;
-}
-
-/** Mixes per LC service used by sweep benches. */
-inline std::size_t
-mixesPerLc()
-{
-    return envSize("CS_BENCH_MIXES", 2);
-}
-
-/** Simulated seconds per scheduler run. */
-inline double
-runDuration()
-{
-    return envDouble("CS_BENCH_DURATION", 0.8);
-}
-
-/** Fresh CuttleSys scheduler for a mix. */
-inline std::unique_ptr<CuttleSysScheduler>
-makeCuttleSys(const WorkloadMix &mix, CuttleSysOptions options = {})
-{
-    return std::make_unique<CuttleSysScheduler>(
-        params(), trainingTables(), mix.batch.size(),
-        mix.lc.qosSeconds(), std::move(options));
-}
-
-/** Standard driver options for a cap/load point. */
-inline DriverOptions
-driverOptions(double cap_fraction, double load_fraction = 0.8,
-              double duration = -1.0)
-{
-    DriverOptions opts;
-    opts.durationSec = duration > 0.0 ? duration : runDuration();
-    opts.loadPattern = LoadPattern::constant(load_fraction);
-    opts.powerPattern = LoadPattern::constant(cap_fraction);
-    opts.maxPowerW = maxPowerW();
-    return opts;
-}
-
 /**
  * Write where a BENCH_*.json's numbers came from — compiler, visible
  * cores, the global pool's width and the CS_POOL_THREADS that sized
@@ -177,18 +111,6 @@ writeProvenance(std::FILE *f, std::size_t quanta_per_point)
                  __VERSION__, std::thread::hardware_concurrency(),
                  ThreadPool::global().size(), quote,
                  poolEnv ? poolEnv : "null", quote, quanta_per_point);
-}
-
-/** Bench banner: which figure/table, what the paper reported. */
-inline void
-banner(const char *id, const char *title, const char *paper_says)
-{
-    std::printf("==============================================="
-                "=========================\n");
-    std::printf("%s — %s\n", id, title);
-    std::printf("paper: %s\n", paper_says);
-    std::printf("-----------------------------------------------"
-                "-------------------------\n");
 }
 
 } // namespace cuttlesys::bench

@@ -19,7 +19,10 @@
  *    (greedyKnapsackSeed) and the parallel DDS, re-timed on each
  *    quantum's prepared tables. The runtime runs the two inside one
  *    search phase, so together they are what the 1.3 ms DDS budget
- *    has to cover.
+ *    has to cover,
+ *  - cold SGD, serial and parallel(4): one reconstruction from
+ *    scratch of a runtime-shaped throughput matrix, the paper's
+ *    Hogwild-vs-serial comparison.
  *
  * Three more rows audit the loop itself:
  *  - pool region: the median of back-to-back empty parallelFor(8)
@@ -305,6 +308,37 @@ churnReconstruct()
 }
 
 /**
+ * Cold reconstructions of the runtime's throughput matrix (the
+ * training rows plus kLiveJobs live rows of two samples each) with
+ * @p threads SGD threads, no warm start.
+ */
+Row
+coldSgd(std::size_t threads)
+{
+    const Matrix &train = trainingTables().bips;
+    RatingMatrix ratings(train.rows() + kLiveJobs, kNumJobConfigs);
+    for (std::size_t r = 0; r < train.rows(); ++r) {
+        for (std::size_t c = 0; c < kNumJobConfigs; ++c)
+            ratings.set(r, c, train(r, c));
+    }
+    Rng rng(77);
+    for (std::size_t r = train.rows(); r < ratings.rows(); ++r) {
+        for (auto c : rng.sampleWithoutReplacement(kNumJobConfigs, 2))
+            ratings.set(r, c, rng.uniform(0.5, 8.0));
+    }
+    SgdOptions options;
+    options.threads = threads;
+    reconstruct(ratings, options); // warm-up
+    std::vector<double> ms;
+    for (std::size_t q = 0; q < kQuanta; ++q) {
+        const auto start = Clock::now();
+        reconstruct(ratings, options);
+        ms.push_back(msSince(start));
+    }
+    return summarize(ms);
+}
+
+/**
  * Median wall us of an empty parallelFor(8) on the global pool, run
  * back to back: what a fork-join region costs before any work, the
  * floor under each of DDS's 40 rounds and SGD's sub-epochs.
@@ -470,12 +504,13 @@ main(int argc, char **argv)
 {
     const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
     setInformEnabled(false);
-    banner("bench_hotpath", "decision-quantum hot path vs Table II",
-           "Table II budget: 4.8 ms SGD + 1.3 ms DDS per 100 ms "
-           "quantum");
+    std::printf("bench_hotpath: decision-quantum hot path vs Table II "
+                "(4.8 ms SGD + 1.3 ms DDS per 100 ms quantum)\n");
 
     const SteadyStats steady = steadyQuanta();
     const Row churn = churnReconstruct();
+    const Row sgd_serial = coldSgd(1);
+    const Row sgd_parallel = coldSgd(4);
     const double region_us = poolRegionUs();
     const TelemetryStats telem = telemetryOverhead();
     const std::uint64_t allocs = steadyStateAllocs();
@@ -493,6 +528,10 @@ main(int argc, char **argv)
              "Table II DDS, shared with the search");
     printRow("parallel DDS, 8 workers", steady.dds, kDdsBudgetMs,
              "Table II DDS");
+    printRow("cold SGD, serial", sgd_serial, kSgdBudgetMs,
+             "Table II SGD, one matrix");
+    printRow("cold SGD, parallel(4)", sgd_parallel, kSgdBudgetMs,
+             "Table II SGD, one matrix");
     std::printf("mean search objective: %.4f\n", steady.meanObjective);
     std::printf("empty parallelFor(8) round trip: median %.2f us\n",
                 region_us);
@@ -513,6 +552,8 @@ main(int argc, char **argv)
         writeRow(f, "churn_reconstruct_ms", churn);
         writeRow(f, "seed_ms", steady.seed);
         writeRow(f, "dds_ms", steady.dds);
+        writeRow(f, "cold_sgd_serial_ms", sgd_serial);
+        writeRow(f, "cold_sgd_parallel4_ms", sgd_parallel);
         std::fprintf(f,
                      "  \"mean_objective\": %.6f,\n"
                      "  \"pool_region_us_median\": %.3f,\n"
