@@ -450,16 +450,27 @@ sweepPoint(Outcome &out, const SgdOptions &options, const char *timing)
 Outcome
 ablSgdRank(const Preset &)
 {
+    // The default sends 2-sample rows through the neighborhood blend
+    // (D7), which never reads the factors; the sweep takes the factor
+    // fold-in path so that the rank is what it measures.
     Outcome out;
     for (std::size_t rank : {4u, 8u, 12u, 24u, 48u, 108u}) {
         SgdOptions options;
         options.rank = rank;
+        options.rowBlendThreshold = 0;
         out.rows["rank"].push_back(static_cast<double>(rank));
         sweepPoint(out, options, "predict_per_app");
     }
+    // The trade-off: past rank 12 the p95 barely moves while the
+    // median rises (the extra factors fit the two samples' noise).
     const std::vector<double> &med = out.rows["median_abs_err"];
-    out.claim("rank12_matches_rank108", "the paper uses rank m*p = 108",
-              med[2] - med[5], Bound::AtMost, 0.5);
+    const std::vector<double> &p95 = out.rows["p95_abs_err"];
+    out.claim("rank12_median_at_most_rank108",
+              "the paper uses rank m*p = 108", med[2] - med[5],
+              Bound::AtMost, 0.0);
+    out.claim("rank12_p95_within_1pt_of_rank108",
+              "the paper uses rank m*p = 108", p95[2] - p95[5],
+              Bound::AtMost, 1.0);
     return out;
 }
 

@@ -44,7 +44,7 @@
  * the comparison becomes a data-gravity A/B: the same fleet and the
  * same workflow stream run once with locality-blind backfill (every
  * non-resident input pays its modeled transfer quanta) and once with
- * the locality-aware scorer terms steering tasks toward the nodes
+ * the locality deltas steering tasks toward the nodes
  * already holding their inputs. The headline is the gmean workflow
  * makespan; the aware run's trace lands in fleet_dag_trace.jsonl.
  *
@@ -320,11 +320,11 @@ main(int argc, char **argv)
     if (dagMode) {
         // Same fleet, same workflow stream, two placement brains:
         // locality-blind backfill (transfers modeled and charged but
-        // invisible to placement) against the locality-aware scorer
-        // terms. The win mechanism: a blind placement of a successor
-        // away from its producer pays ceil(missing/bandwidth) extra
-        // quanta of effective service time, holding its slot longer
-        // and finishing the workflow later.
+        // invisible to placement) against the locality deltas. The
+        // win mechanism: a blind placement of a successor away from
+        // its producer pays ceil(missing/bandwidth) extra quanta of
+        // effective service time, holding its slot longer and
+        // finishing the workflow later.
         BackfillBinPack backfill;
         const auto makeDagOptions =
             [&](telemetry::TraceSink *sink, bool aware) {

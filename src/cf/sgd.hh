@@ -40,9 +40,10 @@ struct SgdOptions
 {
     /**
      * Latent rank of the factors. The paper's Algorithm 1 uses the
-     * full rank m*p; a rank of 12-16 reconstructs our matrices to the
-     * same accuracy at a fraction of the cost (design decision D1,
-     * ablated in bench/abl_sgd_rank).
+     * full rank m*p; on the factor path rank 12 matches the full
+     * rank's p95 error within half a point at a lower median, at a
+     * fraction of the cost (design decision D1, ablated in
+     * `paper abl_sgd_rank`).
      */
     std::size_t rank = 12;
     double learningRate = 0.03;    //!< eta

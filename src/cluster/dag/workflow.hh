@@ -122,6 +122,26 @@ ArtifactId artifactIdRoot(const std::string &template_name,
 ArtifactId artifactIdDerived(const std::string &task_name,
                              const std::vector<ArtifactRef> &inputs);
 
+/** Per-node artifact cache capacity (bytes and entries). */
+inline constexpr double kCacheCapacityBytes = 256.0 * 1024.0 * 1024.0;
+inline constexpr std::size_t kCacheMaxEntries = 64;
+
+/** Modeled interconnect bandwidth: a placement whose inputs are not
+ *  resident charges ceil(missingBytes / this) extra quanta of
+ *  effective service time. Sized so a fully-remote placement of the
+ *  largest template artifact costs one quantum — the stall delays
+ *  the workflow without turning the slot into a multi-quantum
+ *  phantom executor, which would skew the batch-Ginstr comparison
+ *  between the locality A/B arms. */
+inline constexpr double kTransferBytesPerQuantum = 128.0 * 1024.0 * 1024.0;
+
+/** Locality weights (watts of headroom at their reference point, like
+ *  every other placement knob): the bonus a node with all inputs
+ *  resident earns, and the charge a fully-remote node pays — linear
+ *  in the resident byte fraction between them. */
+inline constexpr double kLocalityBonusW = 24.0;
+inline constexpr double kTransferPenaltyW = 48.0;
+
 /** DAG-workflow tuning carried inside FleetOptions. */
 struct DagOptions
 {
@@ -132,26 +152,6 @@ struct DagOptions
     /** Live-workflow pool size; an arrival finding the pool full is
      *  dropped (counted, never queued). */
     std::size_t maxLiveWorkflows = 64;
-
-    /** Per-node artifact cache capacity (bytes and entries). */
-    double cacheCapacityBytes = 256.0 * 1024.0 * 1024.0;
-    std::size_t cacheMaxEntries = 64;
-
-    /** Modeled interconnect bandwidth: a placement whose inputs are
-     *  not resident charges ceil(missingBytes / this) extra quanta of
-     *  effective service time. Sized so a fully-remote placement of
-     *  the largest template artifact costs one quantum — the stall
-     *  delays the workflow without turning the slot into a multi-
-     *  quantum phantom executor, which would skew the batch-Ginstr
-     *  comparison between the locality A/B arms. */
-    double transferBytesPerQuantum = 128.0 * 1024.0 * 1024.0;
-
-    /** Locality term weights (watts of headroom at their reference
-     *  point, like every other placement knob): the bonus a node with
-     *  all inputs resident earns, and the charge a fully-remote node
-     *  pays — linear in the resident byte fraction between them. */
-    double localityBonusW = 24.0;
-    double transferPenaltyW = 48.0;
 
     /** False runs the locality-blind A/B arm: transfers are still
      *  modeled and charged, but placement ignores data gravity. */

@@ -20,6 +20,17 @@ constexpr std::size_t kNodeChunk = 32;
 constexpr std::uint64_t kDagPickSalt = 0x11;
 constexpr std::uint64_t kDagSeedSalt = 0x12;
 
+/** Per-node power floor as a fraction of the node's max power. */
+constexpr double kNodeFloorFrac = 0.30;
+/** Power-split QoS boost, W (see PowerManagerOptions). */
+constexpr double kQosBoostW = 10.0;
+/** Cap on preemption evictions per cluster quantum. */
+constexpr std::size_t kMaxPreemptionsPerQuantum = 8;
+/** LC load-shift between replicas: when a replica violated QoS last
+ *  quantum, this fraction of its offered load moves to the
+ *  least-loaded replica for the next quantum. */
+constexpr double kQosLoadShiftFrac = 0.15;
+
 /** Tenant arrival weights flow into the churn engine's account draw
  *  (overriding any manually configured weights, so the two layers can
  *  never disagree about who account k is). */
@@ -73,13 +84,13 @@ FleetController::FleetController(const SystemParams &params,
       churn_(batch_pool, opts_.numNodes,
              opts_.seed ^ 0x94d049bb133111ebULL,
              withTenantWeights(opts_.churn, opts_.tenants)),
-      ledger_(opts_.tenants, opts_.accounting),
+      ledger_(opts_.tenants),
       power_(PowerManagerOptions{
           .rackBudgetW = opts_.rackBudgetFrac *
               static_cast<double>(opts_.numNodes) * node_max_power_w,
-          .nodeFloorW = opts_.nodeFloorFrac * node_max_power_w,
+          .nodeFloorW = kNodeFloorFrac * node_max_power_w,
           .nodeCapW = node_max_power_w,
-          .qosBoostW = opts_.qosBoostW}),
+          .qosBoostW = kQosBoostW}),
       churnArenas_(ThreadPool::global().slotCount())
 {
     CS_ASSERT(opts_.numNodes > 0, "fleet needs at least one node");
@@ -129,8 +140,9 @@ FleetController::FleetController(const SystemParams &params,
         driver.loadPattern = opts_.scenario.loadPattern(phase, scale);
         driver.powerPattern = opts_.scenario.powerPattern();
         driver.maxPowerW = node_max_power_w;
-        driver.validateDecisions = opts_.validateDecisions;
-        driver.keepSliceRecords = opts_.keepSliceRecords;
+        // The aggregates still accumulate; dropping the per-slice
+        // records keeps the steady-state node quantum heap-free.
+        driver.keepSliceRecords = false;
         if (opts_.sink) {
             nodeSinks_.push_back(
                 std::make_unique<telemetry::MemorySink>());
@@ -145,7 +157,7 @@ FleetController::FleetController(const SystemParams &params,
         // the ledger) are a pure function of opts.seed too. Captured
         // before the mix moves into the node.
         for (std::size_t s = 0; s < mix.batch.size(); ++s) {
-            RunningJob &r = runningAt(i, s);
+            PendingJob &r = runningAt(i, s).job;
             const std::size_t account = churn_.accountAt(
                 JobChurnEngine::kResidentQuantum, i, s);
             r.profile = mix.batch[s];
@@ -158,7 +170,7 @@ FleetController::FleetController(const SystemParams &params,
         nodes_.push_back(std::make_unique<ClusterNode>(
             params, tables, std::move(mix), simSeed,
             std::move(driver), i, opts_.scheduler));
-        nodes_.back()->sim().setPhaseDrift(opts_.phaseDriftAmplitude,
+        nodes_.back()->sim().setPhaseDrift(kPhaseDriftAmplitude,
                                            opts_.phaseDriftPeriodSec);
 
         // Stamp the residents' accounts into the driver's per-slot
@@ -166,9 +178,9 @@ FleetController::FleetController(const SystemParams &params,
         ClusterNode &node = *nodes_.back();
         for (std::size_t s = 0; s < slotsPerNode_; ++s) {
             if (node.slotPlannedOccupied(s))
-                node.setInitialSlotAccount(s, runningAt(i, s).account);
+                node.setInitialSlotAccount(s, runningAt(i, s).job.account);
             else
-                runningAt(i, s).account = -1;
+                runningAt(i, s).job.account = -1;
         }
     }
 
@@ -183,10 +195,10 @@ FleetController::FleetController(const SystemParams &params,
     loads_.assign(n, 0.0);
     loadExtra_.assign(n, 0.0);
 
-    // DAG workflows: the engine, the per-node artifact caches, and
-    // the locality term pipeline exist only when enabled — disabled,
-    // no dag state is built and no workflow draw is ever consumed, so
-    // the legacy fleet replays bitwise.
+    // DAG workflows: the engine and the per-node artifact caches
+    // exist only when enabled — disabled, no dag state is built and
+    // no workflow draw is ever consumed, so the legacy fleet replays
+    // bitwise.
     if (opts_.dag.enable) {
         std::vector<dag::WorkflowSpec> templates =
             opts_.dag.templates.empty()
@@ -195,17 +207,10 @@ FleetController::FleetController(const SystemParams &params,
         engine_ = std::make_unique<dag::WorkflowEngine>(
             std::move(templates), opts_.dag.maxLiveWorkflows);
         caches_.resize(n);
-        for (dag::ArtifactCache &c : caches_) {
-            c.reset(opts_.dag.cacheCapacityBytes,
-                    opts_.dag.cacheMaxEntries);
-        }
+        for (dag::ArtifactCache &c : caches_)
+            c.reset(dag::kCacheCapacityBytes, dag::kCacheMaxEntries);
         dagPool_ = batch_pool;
         CS_ASSERT(!dagPool_.empty(), "dag tasks need a profile pool");
-        localityTerms_ = dag::PlacementScorer(
-            "locality",
-            {{dag::ScoreTermKind::Locality, opts_.dag.localityBonusW},
-             {dag::ScoreTermKind::TransferPenalty,
-              opts_.dag.transferPenaltyW}});
         dagReady_.reserve(engine_->capacityTasks());
     }
 
@@ -217,7 +222,7 @@ FleetController::FleetController(const SystemParams &params,
     // reserving it up front makes the steady-state quantum provably
     // realloc-free. The priority scratch follows the same bound.
     const std::size_t queueBound = opts_.churn.maxPendingJobs +
-        opts_.maxPreemptionsPerQuantum + 1 +
+        kMaxPreemptionsPerQuantum + 1 +
         (dagEnabled() ? engine_->capacityTasks() : 0);
     pending_.reserve(queueBound);
     prio_.reserve(queueBound);
@@ -272,7 +277,7 @@ FleetController::applyChurn()
                     // draw is pure in its coordinates, not a shared
                     // sequence position.
                     if (node.slotPlannedOccupied(s) &&
-                        runningAt(i, s).wfSlot < 0 &&
+                        runningAt(i, s).job.wfSlot < 0 &&
                         churn_.departs(quantum_, i, s)) {
                         stage[count++] =
                             static_cast<std::uint16_t>(s);
@@ -304,7 +309,7 @@ FleetController::applyChurn()
             event.slot = plan.departSlots[d];
             event.departure = true;
             nodes_[i]->queueJobEvent(event);
-            runningAt(i, event.slot).account = -1;
+            runningAt(i, event.slot).job.account = -1;
             ++departures_;
         }
         for (std::uint16_t k = 0; k < plan.arrivals; ++k) {
@@ -356,12 +361,12 @@ FleetController::applyDagCompletions()
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         for (std::size_t s = 0; s < slotsPerNode_; ++s) {
             RunningJob &r = runningAt(i, s);
-            if (r.wfSlot < 0 || r.dagDeadline != quantum_)
+            if (r.job.wfSlot < 0 || r.dagDeadline != quantum_)
                 continue;
             const std::size_t wf =
-                static_cast<std::size_t>(r.wfSlot);
+                static_cast<std::size_t>(r.job.wfSlot);
             const std::size_t task =
-                static_cast<std::size_t>(r.wfTask);
+                static_cast<std::size_t>(r.job.wfTask);
 
             JobEvent event;
             event.slot = s;
@@ -384,9 +389,9 @@ FleetController::applyDagCompletions()
                     dagDone_.makespanQuanta);
             }
             nodes_[i]->queueJobEvent(event);
-            r.account = -1;
-            r.wfSlot = -1;
-            r.wfTask = -1;
+            r.job.account = -1;
+            r.job.wfSlot = -1;
+            r.job.wfTask = -1;
             r.dagDeadline = 0;
             ++departures_;
             enqueueReadyTasks(quantum_);
@@ -580,7 +585,8 @@ FleetController::placePending()
                                 ? resident / total
                                 : 1.0;
                             dagDeltas_[row * numNodes + node] =
-                                localityTerms_.localityDelta(frac);
+                                dag::kLocalityBonusW * frac -
+                                dag::kTransferPenaltyW * (1.0 - frac);
                         }
                     }
                 });
@@ -642,11 +648,10 @@ FleetController::placePending()
                     cache.insert(in.id, in.bytes, quantum_);
                 }
             }
-            if (missingBytes > 0.0 &&
-                opts_.dag.transferBytesPerQuantum > 0.0) {
+            if (missingBytes > 0.0) {
                 transferQuanta = static_cast<std::uint64_t>(
                     std::ceil(missingBytes /
-                              opts_.dag.transferBytesPerQuantum));
+                              dag::kTransferBytesPerQuantum));
             }
             event.workflowId =
                 static_cast<std::int64_t>(engine_->workflowId(wf));
@@ -662,13 +667,7 @@ FleetController::placePending()
         }
         node.queueJobEvent(event);
         RunningJob &r = runningAt(target, slot);
-        r.profile = job.profile;
-        r.submitSlice = job.submitSlice;
-        r.arrivalSeq = job.arrivalSeq;
-        r.account = job.account;
-        r.qosClass = job.qosClass;
-        r.wfSlot = job.wfSlot;
-        r.wfTask = job.wfTask;
+        r.job = job;
         r.dagDeadline = dagJob
             ? quantum_ +
                 engine_->durationQuanta(
@@ -705,7 +704,7 @@ FleetController::tryPreempt(const PendingJob &job, double job_priority)
     // victim can never preempt its preemptor back and every cascade
     // is bounded. Batch (the lowest class) can never preempt.
     if (job.qosClass == QosClass::Batch ||
-        preemptionsThisQuantum_ >= opts_.maxPreemptionsPerQuantum)
+        preemptionsThisQuantum_ >= kMaxPreemptionsPerQuantum)
         return false;
 
     // Victim: the worst running job the arrival outranks — lowest
@@ -715,7 +714,7 @@ FleetController::tryPreempt(const PendingJob &job, double job_priority)
     std::size_t victim = none;
     double victimPrio = 0.0;
     for (std::size_t i = 0; i < running_.size(); ++i) {
-        const RunningJob &r = running_[i];
+        const PendingJob &r = running_[i].job;
         if (r.account < 0 || r.qosClass >= job.qosClass)
             continue;
         const double prio = ledger_.priority(
@@ -725,7 +724,7 @@ FleetController::tryPreempt(const PendingJob &job, double job_priority)
             continue;
         if (victim == none || prio < victimPrio ||
             (prio == victimPrio &&
-             r.arrivalSeq > running_[victim].arrivalSeq)) {
+             r.arrivalSeq > running_[victim].job.arrivalSeq)) {
             victim = i;
             victimPrio = prio;
         }
@@ -737,27 +736,19 @@ FleetController::tryPreempt(const PendingJob &job, double job_priority)
     const std::size_t vslot = victim % slotsPerNode_;
     RunningJob &r = running_[victim];
     ledger_.recordPreemption(static_cast<std::size_t>(job.account),
-                             static_cast<std::size_t>(r.account));
+                             static_cast<std::size_t>(r.job.account));
 
     // Re-queue the victim before its registry entry is overwritten,
     // keeping its submit quantum and sequence number. A dag victim
     // goes back to Ready — it restarts (and re-pays its transfers)
     // when re-placed.
-    PendingJob requeued;
-    requeued.profile = r.profile;
-    requeued.submitSlice = r.submitSlice;
-    requeued.account = r.account;
-    requeued.qosClass = r.qosClass;
-    requeued.arrivalSeq = r.arrivalSeq;
-    requeued.wfSlot = r.wfSlot;
-    requeued.wfTask = r.wfTask;
-    if (r.wfSlot >= 0) {
+    if (r.job.wfSlot >= 0) {
         engine_->onTaskPreempted(
-            static_cast<std::size_t>(r.wfSlot),
-            static_cast<std::size_t>(r.wfTask));
+            static_cast<std::size_t>(r.job.wfSlot),
+            static_cast<std::size_t>(r.job.wfTask));
         ++pendingDag_;
     }
-    pending_.push_back(std::move(requeued));
+    pending_.push_back(r.job);
 
     // Vacate the victim's slot in the round's view and re-book it
     // through the round itself. placeOne() just returned kNoNode, so
@@ -781,13 +772,7 @@ FleetController::tryPreempt(const PendingJob &job, double job_priority)
     event.preemption = true;
     nodes_[vnode]->queueJobEvent(event);
 
-    r.profile = job.profile;
-    r.submitSlice = job.submitSlice;
-    r.arrivalSeq = job.arrivalSeq;
-    r.account = job.account;
-    r.qosClass = job.qosClass;
-    r.wfSlot = -1; // preemptors are plain jobs (dag tasks never preempt)
-    r.wfTask = -1;
+    r.job = job; // a plain job: dag tasks never preempt
     r.dagDeadline = 0;
 
     ledger_.recordPlacement(static_cast<std::size_t>(job.account));
@@ -808,7 +793,7 @@ FleetController::splitBudget()
 void
 FleetController::shiftLoad()
 {
-    if (opts_.qosLoadShiftFrac <= 0.0 || quantum_ == 0)
+    if (quantum_ == 0)
         return;
 
     // Parallel scan: each replica's upcoming offered load (a pattern
@@ -847,7 +832,7 @@ FleetController::shiftLoad()
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (!views_[i].qosViolated || i == receiver)
             continue;
-        const double moved = loads_[i] * opts_.qosLoadShiftFrac;
+        const double moved = loads_[i] * kQosLoadShiftFrac;
         if (moved <= 0.0)
             continue;
         nodes_[i]->overrideLoadFraction(loads_[i] - moved);

@@ -90,21 +90,17 @@ struct FleetOptions
     double loadScaleMax = 1.00;
 
     /**
-     * Application phase-drift dynamics forwarded to every node's
-     * simulator (see MulticoreSim::setPhaseDrift). The defaults are
-     * the sim's unit-test defaults — a 7-timeslice phase cycle;
-     * scenario-scale runs should slow the period to match their time
-     * compression so jobs do not change identity every few quanta.
+     * Application phase-drift period forwarded to every node's
+     * simulator (see MulticoreSim::setPhaseDrift; the amplitude is the
+     * sim's kPhaseDriftAmplitude). The default is the sim's unit-test
+     * default — a 7-timeslice phase cycle; scenario-scale runs should
+     * slow the period to match their time compression so jobs do not
+     * change identity every few quanta.
      */
-    double phaseDriftAmplitude = kPhaseDriftAmplitude;
     double phaseDriftPeriodSec = kPhaseDriftPeriodSec;
 
     /** Rack budget as a fraction of numNodes * nodeMaxPowerW. */
     double rackBudgetFrac = 0.70;
-    /** Per-node floor as a fraction of nodeMaxPowerW. */
-    double nodeFloorFrac = 0.30;
-    /** Power-split QoS boost, W (see PowerManagerOptions). */
-    double qosBoostW = 10.0;
 
     ChurnOptions churn;
 
@@ -126,23 +122,11 @@ struct FleetOptions
      * it submits.
      */
     std::vector<TenantSpec> tenants;
-    /** Ledger tuning: usage half-life, aging, class weights. */
-    AccountingOptions accounting;
-    /** Cap on preemption evictions per cluster quantum. */
-    std::size_t maxPreemptionsPerQuantum = 8;
-
-    /** LC load-shift between replicas: when a replica violated QoS
-     *  last quantum, this fraction of its offered load moves to the
-     *  least-loaded replica for the next quantum. 0 disables. */
-    double qosLoadShiftFrac = 0.15;
 
     /** Fleet-wide trace sink; per-node records are drained into it in
      *  node-index order, each stamped with its node. Null = untraced
      *  (and the steady-state cluster quantum stays heap-free). */
     telemetry::TraceSink *sink = nullptr;
-
-    bool validateDecisions = true;
-    bool keepSliceRecords = false;
 
     /** Runtime tuning shared by every node's scheduler. */
     CuttleSysOptions scheduler;
@@ -368,25 +352,19 @@ class FleetController
 
     /**
      * One running batch job's cluster-side identity (node-major flat
-     * map, slotsPerNode_ entries per node; account -1 = vacant). The
-     * preemption scan reads it for victim candidates, and a victim's
-     * profile / submit quantum / sequence number re-queue from here.
+     * map, slotsPerNode_ entries per node; job.account -1 = vacant,
+     * stamped at construction for the initially empty slots):
+     * the PendingJob it was placed from, so the preemption scan reads
+     * victim candidates here and a victim re-queues as itself.
      * Mutated only in the single-threaded merge phases.
      */
     struct RunningJob
     {
-        AppProfile profile;
-        std::uint64_t submitSlice = 0;
-        std::uint32_t arrivalSeq = 0;
-        std::int32_t account = -1;
-        QosClass qosClass = QosClass::Batch;
-        /** DAG identity: live workflow slot and task index, or -1 for
-         *  plain churned jobs. A DAG task departs deterministically
+        PendingJob job;
+        /** A DAG task (job.wfSlot >= 0) departs deterministically
          *  when the quantum reaches dagDeadline (duration plus the
          *  modeled transfer quanta), never through the Bernoulli
          *  departure stream. */
-        std::int32_t wfSlot = -1;
-        std::int16_t wfTask = -1;
         std::uint64_t dagDeadline = 0;
     };
 
@@ -436,8 +414,6 @@ class FleetController
     std::vector<dag::ArtifactCache> caches_; //!< one per node
     /** Profile pool task draws pick from (the churn pool's copy). */
     std::vector<AppProfile> dagPool_;
-    /** Job-side locality weights (localityDelta source). */
-    dag::PlacementScorer localityTerms_;
     std::vector<dag::WorkflowEngine::ReadyTask> dagReady_;
     dag::WorkflowEngine::Completion dagDone_;
     /** Per-(dag row, node) score deltas for placeBest, row-major;

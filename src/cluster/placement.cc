@@ -45,15 +45,15 @@ FifoFirstFit::score(const NodeView &node) const
 double
 BackfillBinPack::score(const NodeView &node) const
 {
-    // The one formula, on the one scale (watts of headroom) — see the
-    // class comment in placement.hh — now evaluated as the canonical
-    // term pipeline, whose left-to-right accumulation reproduces the
-    // retired monolithic expression bit for bit (scorer.hh). An
+    // The one formula, on the one scale (watts of headroom), in the
+    // operand order the class comment in placement.hh documents. An
     // unstepped node's view carries measuredPowerW = 0, so headroomW
     // is its full opening budget: no special case, and the
     // penalty/bonus knobs keep their units from the very first
     // quantum.
-    return pipeline_.score(node);
+    return node.headroomW - (node.qosViolated ? qosPenaltyW_ : 0.0) -
+        loadPenaltyW_ * node.loadFraction +
+        spreadBonusW_ * static_cast<double>(node.freeSlots);
 }
 
 bool

@@ -46,7 +46,6 @@
 
 #include "apps/app_profile.hh"
 #include "cluster/accounting.hh"
-#include "cluster/dag/scorer.hh"
 #include "cluster/node.hh"
 
 namespace cuttlesys {
@@ -139,16 +138,10 @@ class FifoFirstFit final : public PlacementPolicy
  * for the whole first quantum — the comparison tables in
  * EXPERIMENTS.md are regenerated against this normalized formula.)
  *
- * The formula is no longer hand-rolled: it is the canonical
- * configuration of the composable dag::PlacementScorer term pipeline
- * (headroom, qos-penalty, offered-load, spread-bonus, each a weighted
- * term), which reproduces the monolithic accumulation bit for bit —
- * see cluster/dag/scorer.hh for the IEEE argument and the property
- * test asserting it. The optional locality pair (inputs-resident
- * bonus vs. transfer-latency charge) rides the same pipeline: it is
- * job-dependent, so it enters placement as the per-node delta the
- * fleet hands PlacementRound::placeBest(), never through the cached
- * job-agnostic score().
+ * The score is job-agnostic. The one job-dependent placement signal,
+ * data gravity (resident DAG task inputs), enters as the per-node
+ * delta the fleet hands PlacementRound::placeBest(), never through
+ * the cached score().
  */
 class BackfillBinPack final : public PlacementPolicy
 {
@@ -162,25 +155,12 @@ class BackfillBinPack final : public PlacementPolicy
      *        arrivals toward replicas in their diurnal trough
      * @param spread_bonus_w headroom credited per vacant slot,
      *        nudging the pack toward emptier nodes when headrooms tie
-     * @param locality_bonus_w headroom credited at fully-resident
-     *        inputs (data gravity; 0 keeps the policy job-agnostic)
-     * @param transfer_penalty_w headroom charged at fully-remote
-     *        inputs (the modeled transfer latency's placement cost)
      */
     explicit BackfillBinPack(double qos_penalty_w = 15.0,
                              double load_penalty_w = 80.0,
-                             double spread_bonus_w = 0.5,
-                             double locality_bonus_w = 0.0,
-                             double transfer_penalty_w = 0.0)
-        : pipeline_(dag::PlacementScorer::backfill(
-              qos_penalty_w, load_penalty_w, spread_bonus_w,
-              locality_bonus_w, transfer_penalty_w))
-    {
-    }
-
-    /** Wrap an arbitrary term pipeline as a placement policy. */
-    explicit BackfillBinPack(dag::PlacementScorer pipeline)
-        : pipeline_(std::move(pipeline))
+                             double spread_bonus_w = 0.5)
+        : qosPenaltyW_(qos_penalty_w), loadPenaltyW_(load_penalty_w),
+          spreadBonusW_(spread_bonus_w)
     {
     }
 
@@ -188,11 +168,10 @@ class BackfillBinPack final : public PlacementPolicy
 
     double score(const NodeView &node) const override;
 
-    /** The term pipeline (job-side locality weights included). */
-    const dag::PlacementScorer &pipeline() const { return pipeline_; }
-
   private:
-    dag::PlacementScorer pipeline_;
+    double qosPenaltyW_;
+    double loadPenaltyW_;
+    double spreadBonusW_;
 };
 
 /**

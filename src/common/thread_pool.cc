@@ -350,6 +350,17 @@ ThreadPool::parallelForTask(std::size_t n, TaskRef task)
         if (batch != nullptr) {
             batch->task = task;
             batch->n.store(n, std::memory_order_relaxed);
+            // Under overlapping regions the queue may never drain, so
+            // retired slots pile up ahead of the head. Drop them in
+            // place before the buffer would grow: the live entries are
+            // acquired records, fewer than kMaxBatches, so the push
+            // then fits the reserved capacity.
+            if (queue_.size() == queue_.capacity()) {
+                queue_.erase(queue_.begin(),
+                             queue_.begin() +
+                                 static_cast<std::ptrdiff_t>(queueHead_));
+                queueHead_ = 0;
+            }
             queue_.push_back(batch);
             hot_.store(batch);
             posted_.fetch_add(1);

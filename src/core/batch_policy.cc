@@ -329,16 +329,17 @@ greedyKnapsackSeed(const PreparedObjective &prep, double power_budget,
     return seed;
 }
 
-CapEnforcement
+void
 enforcePowerCap(SliceDecision &decision, const Matrix &power,
-                double power_budget)
+                double power_budget, CapEnforcement &out)
 {
     const std::size_t jobs = decision.batchConfigs.size();
     CS_ASSERT(decision.batchActive.size() == jobs,
               "decision shape mismatch");
     CS_ASSERT(power.rows() >= jobs, "power matrix too small");
 
-    CapEnforcement result;
+    out.victims.clear();
+    out.reclaimedWays = 0.0;
     double batch_power = 0.0;
     for (std::size_t j = 0; j < jobs; ++j) {
         if (decision.batchActive[j])
@@ -369,12 +370,11 @@ enforcePowerCap(SliceDecision &decision, const Matrix &power,
         const double freed = was.cacheWays() - kCacheAllocWays[0];
         if (freed > 0.0) {
             decision.batchConfigs[victim] = JobConfig(was.core(), 0);
-            result.reclaimedWays += freed;
+            out.reclaimedWays += freed;
         }
-        result.victims.push_back(victim);
+        out.victims.push_back(victim);
     }
-    result.finalPowerW = batch_power;
-    return result;
+    out.finalPowerW = batch_power;
 }
 
 } // namespace cuttlesys

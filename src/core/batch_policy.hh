@@ -150,11 +150,12 @@ struct CapEnforcement
  * are off — and the freed ways are reported for telemetry.
  *
  * @p power has one row per batch job over the joint config space.
- * Modifies decision.batchActive / decision.batchConfigs in place.
+ * Modifies decision.batchActive / decision.batchConfigs in place and
+ * overwrites @p out, whose victim list reuses its capacity: a caller
+ * that keeps @p out across quanta gates heap-free.
  */
-CapEnforcement enforcePowerCap(SliceDecision &decision,
-                               const Matrix &power,
-                               double power_budget);
+void enforcePowerCap(SliceDecision &decision, const Matrix &power,
+                     double power_budget, CapEnforcement &out);
 
 } // namespace cuttlesys
 

@@ -28,6 +28,21 @@ oneWayRank()
 constexpr std::size_t kMinTailSamples = 20;
 
 /**
+ * Safety margin on predicted tails: a configuration is considered
+ * QoS-feasible only if its predicted p99 <= margin * QoS, which
+ * absorbs reconstruction error (Fig 5's 10-20% percentiles).
+ */
+constexpr double kLatencyMargin = 0.75;
+
+/**
+ * Margin for the measurement-grounded queueing estimate used to
+ * explore configurations the reconstruction has no latency samples
+ * near (tighter than kLatencyMargin because it is a first-order
+ * model).
+ */
+constexpr double kQueueMargin = 0.65;
+
+/**
  * Highest estimated utilization at which a candidate LC
  * configuration is still considered tail-safe: multi-server queues
  * keep bounded p99 only comfortably below saturation.
@@ -91,6 +106,7 @@ CuttleSysScheduler::CuttleSysScheduler(const SystemParams &params,
     CS_ASSERT(lc_qos_sec > 0.0, "QoS target must be positive");
     if (!tables.latencyRowUtil.empty())
         latencyEngine_.setTrainingContext(tables.latencyRowUtil);
+    capEnforced_.victims.reserve(num_batch_jobs);
 }
 
 void
@@ -341,8 +357,8 @@ CuttleSysScheduler::chooseLcConfig(const SliceContext &ctx)
     // configs (with a safety margin absorbing prediction error),
     // preferring the smallest cache allocation, then the least
     // predicted power.
-    const double bar = lcQos_ * options_.latencyMargin;
-    const double queue_bar = lcQos_ * options_.queueMargin;
+    const double bar = lcQos_ * kLatencyMargin;
+    const double queue_bar = lcQos_ * kQueueMargin;
     std::optional<std::size_t> best;
     bool best_cf_ok = false;
     bool best_queue_ok = false;
@@ -409,7 +425,7 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
         static_cast<double>(lcCores_);
     const double power_budget =
         (ctx.powerBudgetW - lc_power - llcPower(params_)) *
-        options_.powerHeadroom;
+        kPowerHeadroom;
     const double cache_budget =
         static_cast<double>(params_.llcWays) - lc_config.cacheWays();
 
@@ -432,8 +448,6 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
     objCtx_.power = &power;
     objCtx_.powerBudgetW = power_budget;
     objCtx_.cacheBudgetWays = cache_budget;
-    objCtx_.penaltyPower = options_.penaltyPower;
-    objCtx_.penaltyCache = options_.penaltyCache;
     prepared_.rebuild(objCtx_);
 
     telemetry::QuantumRecord *rec = traceRecord();
@@ -495,9 +509,6 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
           case SearchAlgo::ParallelDds:
             parallelDds(prepared_, dds, ddsScratch_, found);
             break;
-          case SearchAlgo::SerialDds:
-            serialDds(prepared_, dds, ddsScratch_, found);
-            break;
           case SearchAlgo::Ga: {
               GaOptions ga = options_.ga;
               ga.seed = options_.ga.seed + 31 * ctx.sliceIndex;
@@ -545,12 +556,11 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
     // of predicted power until the budget is met; gated cores release
     // their LLC ways back to the partition.
     telemetry::PhaseTimer timer(trace_, telemetry::Phase::Enforce);
-    const CapEnforcement enforced =
-        enforcePowerCap(decision, power, power_budget);
+    enforcePowerCap(decision, power, power_budget, capEnforced_);
     if (rec) {
-        rec->capVictims = enforced.victims;
-        rec->reclaimedWays = enforced.reclaimedWays;
-        rec->enforcedPowerW = enforced.finalPowerW;
+        rec->capVictims = capEnforced_.victims;
+        rec->reclaimedWays = capEnforced_.reclaimedWays;
+        rec->enforcedPowerW = capEnforced_.finalPowerW;
     }
 }
 

@@ -57,7 +57,6 @@ struct TrainingTables
 enum class SearchAlgo
 {
     ParallelDds, //!< the paper's contribution (default)
-    SerialDds,   //!< textbook DDS (ablation)
     Ga,          //!< Flicker's optimizer (Fig 10 comparison)
 };
 
@@ -69,8 +68,6 @@ struct CuttleSysOptions
     SgdOptions sgdPower;
     DdsOptions dds;
     GaOptions ga; //!< used when searchAlgo == SearchAlgo::Ga
-    double penaltyPower = 2.0;
-    double penaltyCache = 2.0;
     SearchAlgo searchAlgo = SearchAlgo::ParallelDds;
     /**
      * Seed the search with the greedy knapsack point and the previous
@@ -87,25 +84,6 @@ struct CuttleSysOptions
     std::size_t initialLcCores = 16;
     /** Relative load change that invalidates latency history. */
     double loadChangeThreshold = 0.15;
-    /**
-     * Safety margin on predicted tails: a configuration is considered
-     * QoS-feasible only if its predicted p99 <= margin * QoS, which
-     * absorbs reconstruction error (Fig 5's 10-20% percentiles).
-     */
-    double latencyMargin = 0.75;
-    /**
-     * Margin for the measurement-grounded queueing estimate used to
-     * explore configurations the reconstruction has no latency
-     * samples near (tighter than latencyMargin because it is a
-     * first-order model).
-     */
-    double queueMargin = 0.65;
-    /**
-     * Fraction of the remaining power budget handed to the batch
-     * search: measured chip power runs a little above the predicted
-     * sum (memory contention, noise), so leave headroom.
-     */
-    double powerHeadroom = 0.97;
 
     // --- incremental decision quanta (the stability gate) -------------
     /**
@@ -122,9 +100,6 @@ struct CuttleSysOptions
      * longer than K - 1 timeslices.
      */
     std::size_t fastPathRefreshQuanta = 5;
-    /** Relative drift of the observed load estimate (vs the last full
-     *  quantum's anchor) that invalidates the cached decision. */
-    double fastPathLoadDriftTol = 0.20;
     /**
      * Fraction of the QoS target the measured tail may reach before
      * the gate forces a full quantum: tighter than the violation
@@ -134,17 +109,6 @@ struct CuttleSysOptions
      * under QoS) can still coast.
      */
     double fastPathTailGuard = 0.95;
-    /** Relative power-budget drift (vs the last full quantum's
-     *  budget) that invalidates the cached decision. Within the band,
-     *  revalidation still checks feasibility at the *current* budget. */
-    double fastPathBudgetTol = 0.05;
-    /**
-     * Scheduling overhead charged to a fast-reuse slice: ingest plus
-     * one delta revalidation instead of the full SGD + DDS pipeline
-     * (overheadSec), and no reconfiguration since the schedule is
-     * unchanged.
-     */
-    double fastPathOverheadSec = 0.0004;
 
     CuttleSysOptions();
 };
@@ -216,6 +180,14 @@ class CuttleSysScheduler : public Scheduler
     std::uint64_t memoSeededQuanta() const { return 0; }
 
   private:
+    /**
+     * Fraction of the remaining power budget handed to the batch
+     * search (full and fast path alike): measured chip power runs a
+     * little above the predicted sum (memory contention, noise), so
+     * leave headroom.
+     */
+    static constexpr double kPowerHeadroom = 0.97;
+
     /** Fold profiling samples + previous measurements into engines. */
     void ingest(const SliceContext &ctx);
 
@@ -279,6 +251,7 @@ class CuttleSysScheduler : public Scheduler
     DdsOptions ddsOpts_;          //!< per-quantum working copy
     SearchResult searchResult_;
     KnapsackSeed knapsackSeed_;
+    CapEnforcement capEnforced_;  //!< last cap-enforcement pass
 
     std::size_t lcCores_;
     double lastLoadEstimate_ = -1.0;

@@ -38,6 +38,23 @@ namespace {
  *  noisy 3-request tail must not bounce the gate either. */
 constexpr std::size_t kMinTailSamples = 20;
 
+/** Relative drift of the observed load estimate (vs the last full
+ *  quantum's anchor) that invalidates the cached decision. */
+constexpr double kLoadDriftTol = 0.20;
+
+/** Relative power-budget drift (vs the last full quantum's budget)
+ *  that invalidates the cached decision. Within the band,
+ *  revalidation still checks feasibility at the *current* budget. */
+constexpr double kBudgetTol = 0.05;
+
+/**
+ * Scheduling overhead charged to a fast-reuse slice: ingest plus one
+ * delta revalidation instead of the full SGD + DDS pipeline
+ * (CuttleSysOptions::overheadSec), and no reconfiguration since the
+ * schedule is unchanged.
+ */
+constexpr double kFastReuseOverheadSec = 0.0004;
+
 } // namespace
 
 telemetry::InvalidationReason
@@ -62,7 +79,7 @@ CuttleSysScheduler::fastPathGate(const SliceContext &ctx) const
     const double rel_budget =
         std::abs(ctx.powerBudgetW - cachedBudgetW_) /
         std::max(cachedBudgetW_, 1.0);
-    if (rel_budget > options_.fastPathBudgetTol)
+    if (rel_budget > kBudgetTol)
         return InvalidationReason::BudgetShift;
 
     // No feedback to judge stability by (hand-built contexts): treat
@@ -79,7 +96,7 @@ CuttleSysScheduler::fastPathGate(const SliceContext &ctx) const
         params_.timesliceSec;
     const double rel_load = std::abs(load - anchorLoad_) /
                             std::max(anchorLoad_, 1.0);
-    if (anchorLoad_ < 0.0 || rel_load > options_.fastPathLoadDriftTol)
+    if (anchorLoad_ < 0.0 || rel_load > kLoadDriftTol)
         return InvalidationReason::LoadDrift;
 
     if (ctx.previous->lcCompleted >= kMinTailSamples &&
@@ -116,7 +133,7 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
         static_cast<double>(cachedDecision_.lcCores);
     const double power_budget =
         (ctx.powerBudgetW - lc_power - llcPower(params_)) *
-        options_.powerHeadroom;
+        kPowerHeadroom;
     const double cache_budget =
         static_cast<double>(params_.llcWays) - lc.cacheWays();
 
@@ -161,7 +178,7 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
 
     // --- emit the re-fit cached decision -----------------------------
     out.reconfigurable = true;
-    out.overheadSec = options_.fastPathOverheadSec;
+    out.overheadSec = kFastReuseOverheadSec;
     out.lcConfig = cachedDecision_.lcConfig;
     out.lcCores = cachedDecision_.lcCores;
     out.batchConfigs.resize(numBatchJobs_);
@@ -175,8 +192,7 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
     // a no-victim audit pass — kept so the emitted decision satisfies
     // the same enforcement invariant as a full quantum's even when
     // the repair bottomed out exactly at the budget.
-    const CapEnforcement enforced =
-        enforcePowerCap(out, searchPower_, power_budget);
+    enforcePowerCap(out, searchPower_, power_budget, capEnforced_);
 
     ++sinceFull_;
     ++statFastHits_;
@@ -195,9 +211,9 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
         // The re-derived enforcement is part of the emitted decision;
         // the validator audits it against today's budget like any
         // full decision's.
-        rec->capVictims = enforced.victims;
-        rec->reclaimedWays = enforced.reclaimedWays;
-        rec->enforcedPowerW = enforced.finalPowerW;
+        rec->capVictims = capEnforced_.victims;
+        rec->reclaimedWays = capEnforced_.reclaimedWays;
+        rec->enforcedPowerW = capEnforced_.finalPowerW;
         rec->decisionPath = telemetry::DecisionPath::FastReuse;
         rec->invalidationReason = telemetry::InvalidationReason::None;
         rec->quantaSinceFull = sinceFull_;

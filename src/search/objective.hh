@@ -7,7 +7,7 @@
  * throughput, with *soft* penalties for exceeding the power budget
  * and the LLC way budget — the paper argues for soft penalties so
  * points slightly over budget still guide the search (design decision
- * D4; bench/abl_penalty ablates hard clamping).
+ * D4; `paper abl_penalty` ablates hard clamping).
  *
  * The latency-critical job's configuration is fixed before the search
  * (Section VI-A), so its power and cache ways are already subtracted

@@ -56,6 +56,18 @@ ColocationRun::ColocationRun(MulticoreSim &sim, Scheduler &scheduler,
     slotWorkflows_.assign(sim_.numBatchJobs(), -1);
     slotDagTasks_.assign(sim_.numBatchJobs(), -1);
 
+    // Between two steps a controller queues at most one departure and
+    // one arrival per slot, plus class-strict preemptions, each of
+    // which raises the slot's QoS class (so at most two per slot with
+    // three classes). Reserving that bound, and one completion per
+    // slot, keeps a churning quantum off the heap.
+    const std::size_t slots = sim_.numBatchJobs();
+    pendingEvents_.reserve(4 * slots);
+    preemptedScratch_.reserve(2 * slots);
+    completedWorkflows_.reserve(slots);
+    completedAccounts_.reserve(slots);
+    completedMakespans_.reserve(slots);
+
     // The trace object lives inside this run; schedulers only borrow
     // a pointer, so the destructor detaches.
     tracing_ = opts_.traceSink != nullptr;
@@ -121,12 +133,6 @@ ColocationRun::applyJobEvents()
     dagHits_ = 0;
     dagMisses_ = 0;
     dagTransferBytes_ = 0.0;
-    if (opts_.jobEventHook) {
-        hookEvents_.clear();
-        opts_.jobEventHook(slice_, hookEvents_);
-        for (const JobEvent &e : hookEvents_)
-            pendingEvents_.push_back(e);
-    }
     for (const JobEvent &e : pendingEvents_) {
         CS_ASSERT(e.slot < sim_.numBatchJobs(),
                   "job event slot out of range");

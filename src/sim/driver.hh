@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -78,14 +77,6 @@ struct JobEvent
      *  makespan in cluster quanta; -1 otherwise. */
     std::int64_t workflowMakespan = -1;
 };
-
-/**
- * Optional per-quantum churn source. Called at the head of every
- * quantum with the slice index; fills @p out (handed over cleared,
- * capacity reused across quanta) with this quantum's events.
- */
-using JobEventHook =
-    std::function<void(std::size_t slice, std::vector<JobEvent> &out)>;
 
 /** Driver configuration for one run. */
 struct DriverOptions
@@ -143,9 +134,6 @@ struct DriverOptions
      * still be split back apart. 0 for single-node runs.
      */
     std::size_t nodeIndex = 0;
-
-    /** Per-quantum batch-job churn source (empty = static mix). */
-    JobEventHook jobEventHook;
 };
 
 /** Everything recorded about one executed timeslice. */
@@ -295,7 +283,6 @@ class ColocationRun
     SliceMeasurement prevMeasurement_;
     bool havePrev_ = false;
     std::vector<JobEvent> pendingEvents_;
-    std::vector<JobEvent> hookEvents_;
     /** Per-slot tenant identity (-1 = vacant); initial occupants
      *  default to account 0 until setSlotAccount() says otherwise. */
     std::vector<std::int32_t> slotAccounts_;

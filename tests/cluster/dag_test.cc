@@ -2,8 +2,7 @@
  * @file
  * Tests for the DAG-workflow subsystem: spec validation (cycle
  * rejection), content-addressed artifact naming, the frontier-
- * tracking WorkflowEngine, the bounded per-node ArtifactCache, and
- * the composable placement-scoring pipeline.
+ * tracking WorkflowEngine and the bounded per-node ArtifactCache.
  *
  * Pure-logic tests — no simulator, no fleet. The fleet-level
  * integration (release -> pending queue -> placement -> completion)
@@ -17,9 +16,7 @@
 #include <vector>
 
 #include "cluster/dag/artifact_cache.hh"
-#include "cluster/dag/scorer.hh"
 #include "cluster/dag/workflow.hh"
-#include "cluster/placement.hh"
 
 namespace cuttlesys {
 namespace cluster {
@@ -370,81 +367,6 @@ TEST(ArtifactCacheTest, EvictionSequenceReplaysExactly)
             EXPECT_DOUBLE_EQ(ea->bytes, eb->bytes);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// PlacementScorer pipeline
-// ---------------------------------------------------------------------
-
-NodeView
-someView(double headroom_w, double load, bool qos_violated,
-         std::size_t free_slots)
-{
-    NodeView v;
-    v.node = 0;
-    v.freeSlots = free_slots;
-    v.occupiedSlots = 16 - free_slots;
-    v.loadFraction = load;
-    v.budgetW = 80.0;
-    v.measuredPowerW = 80.0 - headroom_w;
-    v.headroomW = headroom_w;
-    v.qosViolated = qos_violated;
-    v.stepped = true;
-    return v;
-}
-
-TEST(PlacementScorerTest, BackfillPipelineMatchesLegacyFormulaBitwise)
-{
-    // The IEEE argument in scorer.hh, checked: the four node terms
-    // accumulated left-to-right equal the retired monolithic
-    // expression bit for bit on a grid of views.
-    const dag::PlacementScorer pipeline =
-        dag::PlacementScorer::backfill(15.0, 10.0, 0.5);
-    for (int h = -3; h <= 12; ++h) {
-        for (int l = 0; l <= 10; ++l) {
-            for (int qos = 0; qos <= 1; ++qos) {
-                for (std::size_t slots : {0u, 1u, 7u, 16u}) {
-                    const NodeView v = someView(
-                        static_cast<double>(h) * 7.3,
-                        static_cast<double>(l) / 10.0, qos != 0,
-                        slots);
-                    const double legacy = v.headroomW -
-                        (v.qosViolated ? 15.0 : 0.0) -
-                        10.0 * v.loadFraction +
-                        0.5 * static_cast<double>(v.freeSlots);
-                    const double piped = pipeline.score(v);
-                    EXPECT_EQ(piped, legacy)
-                        << "h=" << h << " l=" << l << " qos=" << qos
-                        << " slots=" << slots;
-                }
-            }
-        }
-    }
-}
-
-TEST(PlacementScorerTest, LocalityDeltaInterpolatesBonusToPenalty)
-{
-    const dag::PlacementScorer scorer(
-        "locality", {{ScoreTermKind::Locality, 24.0},
-                     {ScoreTermKind::TransferPenalty, 48.0}});
-    EXPECT_TRUE(scorer.hasLocalityTerms());
-    EXPECT_DOUBLE_EQ(scorer.localityDelta(1.0), 24.0);
-    EXPECT_DOUBLE_EQ(scorer.localityDelta(0.0), -48.0);
-    EXPECT_DOUBLE_EQ(scorer.localityDelta(0.5), 0.5 * 24.0 - 24.0);
-    // Job terms never leak into the cached node score.
-    EXPECT_EQ(scorer.score(someView(10.0, 0.5, false, 4)), 0.0);
-}
-
-TEST(PlacementScorerTest, NodeScoreIgnoresJobTerms)
-{
-    const dag::PlacementScorer plain =
-        dag::PlacementScorer::backfill(15.0, 10.0, 0.5);
-    const dag::PlacementScorer with_locality =
-        dag::PlacementScorer::backfill(15.0, 10.0, 0.5, 24.0, 48.0);
-    EXPECT_FALSE(plain.hasLocalityTerms());
-    EXPECT_TRUE(with_locality.hasLocalityTerms());
-    const NodeView v = someView(33.0, 0.4, true, 3);
-    EXPECT_EQ(plain.score(v), with_locality.score(v));
 }
 
 } // namespace

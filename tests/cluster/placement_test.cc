@@ -168,6 +168,31 @@ TEST(BackfillTest, DeterministicAcrossRepeatedCalls)
         EXPECT_EQ(backfill.place(someJob(), nodes), first);
 }
 
+TEST(BackfillTest, ScoreIsTheDocumentedFormula)
+{
+    // The formula in placement.hh, operand for operand, on a grid of
+    // views: the frozen fleet replays depend on these exact doubles.
+    const BackfillBinPack backfill(15.0, 10.0, 0.5);
+    for (int h = -3; h <= 12; ++h) {
+        for (int l = 0; l <= 10; ++l) {
+            for (int qos = 0; qos <= 1; ++qos) {
+                for (std::size_t slots : {0u, 1u, 7u, 16u}) {
+                    const NodeView v = makeView(
+                        0, slots, static_cast<double>(h) * 7.3,
+                        static_cast<double>(l) / 10.0, qos != 0);
+                    const double documented = v.headroomW -
+                        (v.qosViolated ? 15.0 : 0.0) -
+                        10.0 * v.loadFraction +
+                        0.5 * static_cast<double>(v.freeSlots);
+                    EXPECT_EQ(backfill.score(v), documented)
+                        << "h=" << h << " l=" << l << " qos=" << qos
+                        << " slots=" << slots;
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // PlacementRound property tests: the parallel-scored, heap-committed
 // round must be bitwise-equivalent to the serial per-job rescan and

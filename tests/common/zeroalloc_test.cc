@@ -20,13 +20,11 @@
 
 #include "cf/engine.hh"
 #include "cluster/accounting.hh"
-#include "cluster/churn.hh"
 #include "cluster/dag/artifact_cache.hh"
 #include "cluster/dag/workflow.hh"
 #include "cluster/fleet.hh"
 #include "cluster/node.hh"
 #include "cluster/placement.hh"
-#include "cluster/power_manager.hh"
 #include "common/alloc_probe.hh"
 #include "common/arena.hh"
 #include "common/kernels.hh"
@@ -288,383 +286,111 @@ TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
         << " times over " << kMeasured << " quanta";
 }
 
+/** Heap allocations over the next @p quanta fleet quanta. */
+std::uint64_t
+allocsOver(cluster::FleetController &fleet, int quanta)
+{
+    const std::uint64_t before = AllocProbe::newCount();
+    for (int q = 0; q < quanta; ++q)
+        fleet.stepQuantum();
+    return AllocProbe::newCount() - before;
+}
+
 TEST(ZeroAlloc, FleetQuiescentQuantumIsHeapFree)
 {
     // The shipped controller end to end: a real FleetController's
     // untraced steady-state quantum — every control phase, the
     // parallel node step, and the accounting gather — must not touch
-    // the heap, as fleet.hh promises. Churn is off and the offered
-    // load is flat; the stability gate keeps its default (on). As in
-    // the node gates above, the load-change threshold is widened: at
-    // constant load it can still fire off completion-count noise, and
-    // the gate measures the quiescent quantum.
+    // the heap, as fleet.hh promises. Two inputs: a quiescent fleet,
+    // and a hot one whose measured window places, preempts and
+    // completes workflows. The offered load is flat in both (the LC
+    // queue sim's buffers grow with load, so a diurnal day would keep
+    // finding new high-water marks), and the stability gate keeps its
+    // default (on). As in the node gates above, the load-change
+    // threshold is widened: at constant load it can still fire off
+    // completion-count noise.
     setInformEnabled(false);
     const SystemParams params;
     const TrainTestSplit split = splitSpecGallery();
+    const double nodeMaxW = systemMaxPower(split.test, params);
+    cluster::BackfillBinPack placement;
     cluster::FleetOptions opts;
-    opts.numNodes = 4;
-    opts.seed = 11;
-    opts.scenario.daySeconds = 7.0;
     opts.scenario.loadTrough = 0.45;
     opts.scenario.loadPeak = 0.45;
     opts.loadScaleMin = 1.0;
     opts.loadScaleMax = 1.0;
-    opts.churn.departureProbability = 0.0;
-    opts.churn.meanArrivalsPerQuantum = 0.0;
     opts.scheduler = fastCuttleSysOptions();
     opts.scheduler.loadChangeThreshold = 1.0;
-    cluster::BackfillBinPack placement;
-    cluster::FleetController fleet(params, testTrainingTables(),
-                                   calibratedTailbench()[0], split.test,
-                                   systemMaxPower(split.test, params),
-                                   placement, opts);
 
-    // A long warm-up. Buffers size themselves the first time a node
-    // reaches each decision leg (full search, fast reuse, forced
-    // refresh, budget re-fit) or LC queue-sim shape (a slice opening
-    // with holdover completions), and when that happens is
-    // data-dependent, not a fixed prefix. This fleet is heap-free
-    // from its third quantum; 50 keep the gate clear of warm-up under
-    // other seeds and tunings.
-    for (int q = 0; q < 50; ++q)
-        fleet.stepQuantum();
-
-    constexpr int kMeasured = 16;
-    const std::uint64_t before = AllocProbe::newCount();
-    for (int q = 0; q < kMeasured; ++q)
-        fleet.stepQuantum();
-    const std::uint64_t allocs = AllocProbe::newCount() - before;
-
-    EXPECT_EQ(allocs, 0u)
-        << "steady-state fleet quantum touched the heap " << allocs
-        << " times over " << kMeasured << " quanta";
-}
-
-/**
- * One full controller quantum over a 256-node fleet, built from the
- * production control-phase components: the parallel churn scan
- * staging per-node departure lists in per-worker arenas, the serial
- * node-order merge admitting account-stamped arrivals into the
- * pending queue, the accounting ledger's decay/fair-share step and
- * per-slot usage charging, the O(1) view gather, PlacementRound's
- * score-once/heap-commit placement in priority order (fair-share x
- * age x class, ties to sequence), an eviction through the refresh
- * seam every quantum, ClusterPowerManager's block-parallel split,
- * and the parallel load scan. Per-node simulators are replaced by a
- * planned-occupancy state machine so the gate isolates the
- * controller phases themselves.
- */
-struct ControllerQuantum
-{
-    static constexpr std::size_t kNodes = 256;
-    static constexpr std::size_t kSlots = 16;
-
-    cluster::BackfillBinPack policy;
-    cluster::JobChurnEngine churn;
-    cluster::AccountingLedger ledger;
-    cluster::ClusterPowerManager power;
-    cluster::PlacementRound round;
-    WorkerArenaSet arenas{ThreadPool::global().slotCount()};
-
-    struct NodePlan
+    // Input 1: four nodes, churn off. A long warm-up: buffers size
+    // themselves the first time a node reaches each decision leg
+    // (full search, fast reuse, forced refresh, budget re-fit) or LC
+    // queue-sim shape (a slice opening with holdover completions),
+    // and when that happens is data-dependent, not a fixed prefix.
+    // This fleet is heap-free from its third quantum; 50 keep the
+    // gate clear of warm-up under other seeds and tunings.
     {
-        std::uint16_t *departSlots = nullptr;
-        std::uint16_t numDeparts = 0;
-        std::uint16_t arrivals = 0;
-    };
-    std::vector<NodePlan> plan;
-
-    std::vector<std::uint8_t> occupied;
-    std::vector<std::size_t> freeCount;
-    std::vector<std::size_t> firstVacant;
-    std::vector<cluster::NodeView> views;
-    std::vector<double> budgets;
-    std::vector<double> loads;
-    std::vector<cluster::PendingJob> pending;
-    std::vector<double> prio;
-    std::vector<std::uint32_t> order;
-    std::vector<char> placedFlags;
-    std::vector<std::int32_t> slotAccount;
-    std::uint32_t nextSeq = 0;
-    std::uint64_t quantum = 0;
-
-    static std::vector<AppProfile>
-    jobPool()
-    {
-        // Short names stay within std::string's SSO buffer, like the
-        // SPEC gallery's: a profile copy must not allocate.
-        std::vector<AppProfile> pool(4);
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-            pool[i].name = "job-";
-            pool[i].name += static_cast<char>('a' + i);
-            pool[i].seed = 7 + i;
-        }
-        return pool;
+        cluster::FleetOptions quiet = opts;
+        quiet.numNodes = 4;
+        quiet.seed = 11;
+        quiet.scenario.daySeconds = 7.0;
+        quiet.churn.departureProbability = 0.0;
+        quiet.churn.meanArrivalsPerQuantum = 0.0;
+        cluster::FleetController fleet(
+            params, testTrainingTables(), calibratedTailbench()[0],
+            split.test, nodeMaxW, placement, quiet);
+        for (int q = 0; q < 50; ++q)
+            fleet.stepQuantum();
+        const std::uint64_t allocs = allocsOver(fleet, 16);
+        EXPECT_EQ(allocs, 0u)
+            << "quiescent fleet quantum touched the heap " << allocs
+            << " times over 16 quanta";
     }
 
-    static std::vector<cluster::TenantSpec>
-    tenants()
+    // Input 2: 64 nodes (two parallel blocks) under hot churn, three
+    // tenants of rising class (so preemption runs), DAG workflows
+    // (releases, artifact caches, the locality deltas) and a scarce
+    // rack budget (so cap enforcement gates jobs). Every per-quantum
+    // buffer is reserved to its bound, so churn, placement,
+    // preemption, gating and workflow completion stay off the heap.
     {
-        // Names within the SSO buffer: the ledger copy-constructing
-        // its TenantSpec vector at setup is the only allocation.
-        return {
-            cluster::TenantSpec{.name = "t-a", .arrivalWeight = 0.65,
-                                .shares = 1.0,
-                                .qosClass = cluster::QosClass::Batch},
-            cluster::TenantSpec{.name = "t-b", .arrivalWeight = 0.25,
-                                .shares = 1.0,
-                                .qosClass = cluster::QosClass::Normal},
-            cluster::TenantSpec{
-                .name = "t-c", .arrivalWeight = 0.10, .shares = 1.0,
-                .qosClass = cluster::QosClass::Interactive},
+        cluster::FleetOptions hot = opts;
+        hot.numNodes = 64;
+        hot.seed = 17;
+        hot.scenario.daySeconds = 9.0;
+        hot.rackBudgetFrac = 0.55;
+        hot.churn.departureProbability = 0.03;
+        hot.churn.meanArrivalsPerQuantum = 1.5 * 64;
+        hot.churn.meanWorkflowArrivalsPerQuantum = 0.05 * 64;
+        // Names within std::string's SSO buffer, like the SPEC
+        // gallery's: a job or tenant copy must not allocate.
+        hot.tenants = {
+            {.name = "t-a", .arrivalWeight = 0.65,
+             .qosClass = cluster::QosClass::Batch},
+            {.name = "t-b", .arrivalWeight = 0.25,
+             .qosClass = cluster::QosClass::Normal},
+            {.name = "t-c", .arrivalWeight = 0.10,
+             .qosClass = cluster::QosClass::Interactive},
         };
+        hot.dag.enable = true;
+        hot.dag.maxLiveWorkflows = 2 * 64;
+        cluster::FleetController fleet(
+            params, testTrainingTables(), calibratedTailbench()[0],
+            split.test, nodeMaxW, placement, hot);
+        for (int q = 0; q < 50; ++q)
+            fleet.stepQuantum();
+        // summary() builds vectors, so it brackets the window.
+        const cluster::FleetSummary warm = fleet.summary();
+        const std::uint64_t allocs = allocsOver(fleet, 40);
+        const cluster::FleetSummary end = fleet.summary();
+        EXPECT_EQ(allocs, 0u)
+            << "hot fleet quantum touched the heap " << allocs
+            << " times over 40 quanta";
+        EXPECT_GT(end.preemptions, warm.preemptions)
+            << "the measured window must contain preemptions";
+        EXPECT_GT(end.workflowsCompleted, warm.workflowsCompleted)
+            << "the measured window must complete workflows";
     }
-
-    ControllerQuantum()
-        : churn(jobPool(), kNodes, 31,
-                cluster::ChurnOptions{
-                    .departureProbability = 0.10,
-                    .meanArrivalsPerQuantum = 64.0,
-                    .maxPendingJobs = 2 * kNodes,
-                    .tenantArrivalWeights = {0.65, 0.25, 0.10}}),
-          ledger(tenants()),
-          power(cluster::PowerManagerOptions{.rackBudgetW = 24000.0,
-                                             .nodeFloorW = 30.0,
-                                             .nodeCapW = 130.0,
-                                             .qosBoostW = 10.0})
-    {
-        plan.resize(kNodes);
-        occupied.assign(kNodes * kSlots, 0);
-        freeCount.assign(kNodes, kSlots);
-        firstVacant.assign(kNodes, 0);
-        views.resize(kNodes);
-        budgets.assign(kNodes, 90.0);
-        loads.assign(kNodes, 0.0);
-        pending.reserve(4 * kNodes);
-        prio.reserve(4 * kNodes);
-        order.reserve(4 * kNodes);
-        placedFlags.reserve(4 * kNodes);
-        slotAccount.assign(kNodes * kSlots, -1);
-        Rng rng(5);
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            for (std::size_t s = 0; s < kSlots; ++s) {
-                if (rng.uniform(0.0, 1.0) < 0.5) {
-                    occupied[i * kSlots + s] = 1;
-                    slotAccount[i * kSlots + s] =
-                        static_cast<std::int32_t>(churn.accountAt(
-                            cluster::JobChurnEngine::kResidentQuantum,
-                            i, s));
-                    --freeCount[i];
-                }
-            }
-            while (firstVacant[i] < kSlots &&
-                   occupied[i * kSlots + firstVacant[i]]) {
-                ++firstVacant[i];
-            }
-        }
-        // Worst-case staging prewarm, as FleetController performs:
-        // the worker schedule (never the results) varies per run, so
-        // each arena must already fit a whole-fleet scan.
-        for (std::size_t s = 0; s < arenas.size(); ++s)
-            arenas.at(s).alloc<std::uint16_t>(kNodes * kSlots);
-        arenas.resetAll();
-    }
-
-    void
-    run()
-    {
-        auto &pool = ThreadPool::global();
-        // Quantum head: decay the ledger and refresh the fair-share
-        // factors admission and ordering consult below.
-        ledger.beginQuantum();
-        // Phase 1: churn — parallel scan into arena staging, serial
-        // node-order merge.
-        arenas.resetAll();
-        pool.parallelChunks(
-            kNodes, 32,
-            [this](std::size_t, std::size_t begin, std::size_t end) {
-                ScratchArena &arena =
-                    arenas.at(ThreadPool::currentSlot());
-                for (std::size_t i = begin; i < end; ++i) {
-                    std::uint16_t *stage =
-                        arena.alloc<std::uint16_t>(kSlots);
-                    std::uint16_t count = 0;
-                    for (std::size_t s = 0; s < kSlots; ++s) {
-                        if (occupied[i * kSlots + s] &&
-                            churn.departs(quantum, i, s)) {
-                            stage[count++] =
-                                static_cast<std::uint16_t>(s);
-                        }
-                    }
-                    plan[i].departSlots = stage;
-                    plan[i].numDeparts = count;
-                    plan[i].arrivals = static_cast<std::uint16_t>(
-                        churn.arrivalsAt(quantum, i));
-                }
-            });
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            for (std::uint16_t d = 0; d < plan[i].numDeparts; ++d) {
-                const std::size_t s = plan[i].departSlots[d];
-                occupied[i * kSlots + s] = 0;
-                slotAccount[i * kSlots + s] = -1;
-                ++freeCount[i];
-                firstVacant[i] = std::min(firstVacant[i], s);
-            }
-            for (std::uint16_t k = 0; k < plan[i].arrivals; ++k) {
-                if (pending.size() >= 2 * kNodes)
-                    continue;
-                cluster::PendingJob job;
-                job.profile = churn.drawJobAt(quantum, i, k);
-                job.submitSlice = quantum;
-                job.account = static_cast<std::int32_t>(
-                    churn.accountAt(quantum, i, k));
-                job.qosClass = ledger.qosClass(
-                    static_cast<std::size_t>(job.account));
-                job.arrivalSeq = nextSeq++;
-                ledger.recordArrival(
-                    static_cast<std::size_t>(job.account));
-                pending.push_back(std::move(job));
-            }
-        }
-        // Charge every occupied slot's usage for the quantum (the
-        // fleet's gather-phase accounting: pure arithmetic over the
-        // ledger's fixed-size arrays).
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            for (std::size_t s = 0; s < kSlots; ++s) {
-                const std::int32_t a = slotAccount[i * kSlots + s];
-                if (a >= 0)
-                    ledger.chargeUsage(static_cast<std::size_t>(a),
-                                       0.5, 0.1, 0.05, 2.0);
-            }
-        }
-        // Phase 2: gather — O(1) counters, disjoint writes.
-        pool.parallelChunks(
-            kNodes, 32,
-            [this](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    cluster::NodeView &v = views[i];
-                    v.node = i;
-                    v.freeSlots = freeCount[i];
-                    v.occupiedSlots = kSlots - freeCount[i];
-                    v.loadFraction = 0.3 +
-                        0.4 * static_cast<double>(i % 7) / 7.0;
-                    v.budgetW = budgets[i];
-                    v.measuredPowerW = 50.0 + 40.0 * v.loadFraction;
-                    v.headroomW = v.budgetW - v.measuredPowerW;
-                    v.qosViolated = (i % 11) == 0;
-                    v.stepped = true;
-                }
-            });
-        // Phase 3: place — parallel scoring, priority-ordered heap
-        // commit (the fair-share order the fleet uses: priority desc,
-        // arrival sequence asc, over persistent scratch).
-        round.begin(policy, views, pool);
-        prio.resize(pending.size());
-        order.resize(pending.size());
-        placedFlags.assign(pending.size(), 0);
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-            const cluster::PendingJob &job = pending[j];
-            prio[j] = ledger.priority(
-                static_cast<std::size_t>(job.account), job.qosClass,
-                job.submitSlice, quantum);
-            order[j] = static_cast<std::uint32_t>(j);
-        }
-        std::sort(order.begin(), order.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      if (prio[a] != prio[b])
-                          return prio[a] > prio[b];
-                      return pending[a].arrivalSeq <
-                          pending[b].arrivalSeq;
-                  });
-        // Exercise the eviction seam once per quantum: vacate one
-        // occupied slot of a rotating node and re-enter it through
-        // refresh(), exactly as the fleet's preemption path does.
-        {
-            const std::size_t victim = quantum % kNodes;
-            for (std::size_t s = kSlots; s-- > 0;) {
-                const std::size_t idx = victim * kSlots + s;
-                if (!occupied[idx])
-                    continue;
-                ledger.recordPreemption(
-                    2, static_cast<std::size_t>(slotAccount[idx]));
-                occupied[idx] = 0;
-                slotAccount[idx] = -1;
-                ++freeCount[victim];
-                firstVacant[victim] =
-                    std::min(firstVacant[victim], s);
-                ++views[victim].freeSlots;
-                --views[victim].occupiedSlots;
-                round.refresh(victim);
-                break;
-            }
-        }
-        std::size_t committed = 0;
-        for (const std::uint32_t j : order) {
-            const std::size_t target = round.placeOne();
-            if (target == cluster::PlacementPolicy::kNoNode)
-                break;
-            std::size_t &hint = firstVacant[target];
-            occupied[target * kSlots + hint] = 1;
-            slotAccount[target * kSlots + hint] = pending[j].account;
-            ledger.recordPlacement(
-                static_cast<std::size_t>(pending[j].account));
-            --freeCount[target];
-            while (hint < kSlots && occupied[target * kSlots + hint])
-                ++hint;
-            placedFlags[j] = 1;
-            ++committed;
-        }
-        // Stable in-place compaction of the unplaced entries.
-        if (committed == pending.size()) {
-            pending.clear();
-        } else if (committed > 0) {
-            std::size_t keep = 0;
-            for (std::size_t j = 0; j < pending.size(); ++j) {
-                if (placedFlags[j])
-                    continue;
-                if (keep != j)
-                    pending[keep] = std::move(pending[j]);
-                ++keep;
-            }
-            pending.resize(keep);
-        }
-        // Phase 4: budget — block-parallel weights, ordered clip.
-        power.split(views, budgets, pool);
-        // Phase 5: shift scan — parallel load lookups.
-        pool.parallelChunks(
-            kNodes, 32,
-            [this](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    loads[i] = 0.5 +
-                        0.3 * static_cast<double>((i + quantum) % 5) /
-                            5.0;
-                }
-            });
-        ++quantum;
-    }
-};
-
-TEST(ZeroAlloc, ControllerQuantumAt256NodesIsHeapFree)
-{
-    // The fleet tentpole gate: a full 256-node controller quantum —
-    // every parallel phase drawing scratch from per-worker arenas and
-    // reduction buffers from persistent members — must not touch the
-    // heap once warm.
-    setInformEnabled(false);
-    ControllerQuantum ctl;
-    for (int q = 0; q < 4; ++q)
-        ctl.run();
-
-    constexpr int kMeasured = 8;
-    const std::uint64_t before = AllocProbe::newCount();
-    for (int q = 0; q < kMeasured; ++q)
-        ctl.run();
-    const std::uint64_t allocs = AllocProbe::newCount() - before;
-
-    EXPECT_EQ(allocs, 0u)
-        << "steady-state 256-node controller quantum touched the "
-        << "heap " << allocs << " times over " << kMeasured
-        << " quanta";
 }
 
 TEST(ZeroAlloc, DagWorkflowQuantumIsHeapFree)

@@ -221,7 +221,8 @@ TEST(CapEnforcementTest, GatedVictimsReleaseTheirWays)
     }
 
     // Total 100 W against 45 W: gate job 3 (40 W) then job 2 (30 W).
-    const CapEnforcement result = enforcePowerCap(d, power, 45.0);
+    CapEnforcement result;
+    enforcePowerCap(d, power, 45.0, result);
 
     ASSERT_EQ(result.victims.size(), 2u);
     EXPECT_EQ(result.victims[0], 3u);
@@ -257,7 +258,9 @@ TEST(CapEnforcementTest, UnderBudgetIsUntouched)
             power(j, c) = 5.0;
     }
 
-    const CapEnforcement result = enforcePowerCap(d, power, 100.0);
+    // A reused result is overwritten, not appended to.
+    CapEnforcement result{.victims = {7}, .reclaimedWays = 3.0};
+    enforcePowerCap(d, power, 100.0, result);
     EXPECT_TRUE(result.victims.empty());
     EXPECT_DOUBLE_EQ(result.reclaimedWays, 0.0);
     EXPECT_DOUBLE_EQ(result.finalPowerW, 15.0);
@@ -278,7 +281,8 @@ TEST(CapEnforcementTest, GatesEverythingWhenBudgetBelowFloor)
             power(j, c) = 50.0;
     }
 
-    const CapEnforcement result = enforcePowerCap(d, power, 1.0);
+    CapEnforcement result;
+    enforcePowerCap(d, power, 1.0, result);
     EXPECT_EQ(result.victims.size(), 2u);
     EXPECT_FALSE(d.batchActive[0]);
     EXPECT_FALSE(d.batchActive[1]);

@@ -53,10 +53,14 @@ gateOptions()
     return opts;
 }
 
-/** Traced colocation run; returns the sink's records. */
+/**
+ * Traced colocation run; returns the sink's records. A non-null
+ * @p churn is queued for the head of slice @p churn_slice.
+ */
 std::vector<telemetry::QuantumRecord>
 tracedRun(std::uint64_t seed, const CuttleSysOptions &sched_opts,
-          DriverOptions opts)
+          DriverOptions opts, const JobEvent *churn = nullptr,
+          std::size_t churn_slice = 0)
 {
     const SystemParams params;
     MulticoreSim sim(params, makeTestMix(), seed);
@@ -65,7 +69,12 @@ tracedRun(std::uint64_t seed, const CuttleSysOptions &sched_opts,
                              sim.mix().lc.qosSeconds(), sched_opts);
     telemetry::MemorySink sink;
     opts.traceSink = &sink;
-    runColocation(sim, sched, opts);
+    ColocationRun run(sim, sched, opts);
+    while (!run.done()) {
+        if (churn && run.nextSlice() == churn_slice)
+            run.queueJobEvent(*churn);
+        run.step();
+    }
     return sink.records();
 }
 
@@ -121,20 +130,12 @@ TEST(FastPathTest, ChurnForcesFullQuantum)
 {
     // A slot swap mid-run: the churned quantum must re-search (the
     // cached point prices a job that no longer exists).
-    const WorkloadMix mix = makeTestMix();
-    DriverOptions opts = options(0.7, 0.45);
-    opts.jobEventHook = [&mix](std::size_t slice,
-                               std::vector<JobEvent> &out) {
-        if (slice == 12) {
-            JobEvent ev;
-            ev.slot = 3;
-            ev.departure = true;
-            ev.arrival = mix.batch[5];
-            out.push_back(ev);
-        }
-    };
-    const std::vector<telemetry::QuantumRecord> recs =
-        tracedRun(52, gateOptions(), opts);
+    JobEvent swap;
+    swap.slot = 3;
+    swap.departure = true;
+    swap.arrival = makeTestMix().batch[5];
+    const std::vector<telemetry::QuantumRecord> recs = tracedRun(
+        52, gateOptions(), options(0.7, 0.45), &swap, 12);
     ASSERT_GT(recs.size(), 12u);
     EXPECT_NE(recs[12].decisionPath, DecisionPath::FastReuse);
     EXPECT_EQ(recs[12].invalidationReason, InvalidationReason::Churn);

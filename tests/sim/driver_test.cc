@@ -255,29 +255,29 @@ TEST(DriverTest, RejectsUnsetMaxPower)
     EXPECT_THROW(runColocation(sim, sched, opts), PanicError);
 }
 
-TEST(DriverTest, JobEventHookDrivesChurn)
+TEST(DriverTest, QueuedJobEventsDriveChurn)
 {
     const SystemParams params;
     MulticoreSim sim(params, makeTestMix(), 12);
     RecordingScheduler sched(16);
-    DriverOptions opts = basicOptions();
+    ColocationRun run(sim, sched, basicOptions());
     // A job leaves slot 3 at slice 1 and a replacement arrives at
-    // slice 3; the hook is the driver-side seam the fleet layer uses.
-    opts.jobEventHook = [](std::size_t slice,
-                           std::vector<JobEvent> &out) {
-        if (slice == 1) {
+    // slice 3, queued between steps as the fleet controller does.
+    while (!run.done()) {
+        if (run.nextSlice() == 1) {
             JobEvent leave;
             leave.slot = 3;
             leave.departure = true;
-            out.push_back(leave);
-        } else if (slice == 3) {
+            run.queueJobEvent(leave);
+        } else if (run.nextSlice() == 3) {
             JobEvent arrive;
             arrive.slot = 3;
             arrive.arrival = splitSpecGallery().test[0];
-            out.push_back(arrive);
+            run.queueJobEvent(arrive);
         }
-    };
-    const RunResult result = runColocation(sim, sched, opts);
+        run.step();
+    }
+    const RunResult &result = run.result();
     EXPECT_EQ(result.jobDepartures, 1u);
     EXPECT_EQ(result.jobArrivals, 1u);
     ASSERT_EQ(sched.churnSlots.size(), 2u);

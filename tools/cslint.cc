@@ -652,14 +652,15 @@ class Linter
     void
     checkFastPathPurity(const FileInfo &file)
     {
-        // The dag/ commit paths are held to the same standard: every
-        // workflow release, artifact eviction, and placement score
-        // must be a pure counter hash / pure function of replayable
-        // state, or the fleet trace stops replaying bitwise.
+        // The dag/ commit paths and the placement score are held to
+        // the same standard: every workflow release, artifact
+        // eviction, and placement score must be a pure counter hash /
+        // pure function of replayable state, or the fleet trace stops
+        // replaying bitwise.
         if (file.path != "src/core/fastpath.cc" &&
             file.path != "src/cluster/dag/workflow.cc" &&
             file.path != "src/cluster/dag/artifact_cache.cc" &&
-            file.path != "src/cluster/dag/scorer.cc")
+            file.path != "src/cluster/placement.cc")
             return;
         const auto &t = file.tokens;
         for (std::size_t i = 0; i < t.size(); ++i) {
