@@ -13,8 +13,8 @@
  *  - reconstruct: its three warm reconstructions, against 4.8 ms,
  *  - churn reconstruct: the three reconstructions of the quantum
  *    after a batch slot changes tenant, when the BIPS and power
- *    engines cold-start through the Jacobi-SVD initialization,
- *    against 4.8 ms,
+ *    engines have reset the slot's latent row and warm-start from
+ *    the kept factors, against 4.8 ms,
  *  - seed and DDS: the greedy knapsack warm start
  *    (greedyKnapsackSeed) and the parallel DDS, re-timed on each
  *    quantum's prepared tables. The runtime runs the two inside one
@@ -191,9 +191,8 @@ struct HotPath
 
     /**
      * Batch slot @p slot changes tenant: what the runtime's
-     * onJobChurn does to the engines (clear the slot's rows, which
-     * drops both engines' factors), then the newcomer's two profiling
-     * samples.
+     * onJobChurn does to the engines (clear the slot's rows and zero
+     * their latent rows), then the newcomer's two profiling samples.
      */
     void churn(std::size_t slot)
     {
@@ -277,9 +276,11 @@ steadyQuanta()
 
 /**
  * The three reconstructions of a quantum that follows onJobChurn of one
- * slot, with the runtime's Jacobi-SVD cold start: the BIPS and power
- * engines start cold, the latency engine stays warm. Each timed churn
- * hits the next slot after a normal quantum.
+ * slot, with the runtime's options (Jacobi-SVD initialization on, taken
+ * only by the first quantum's cold start): the BIPS and power engines
+ * warm-start around the slot's zeroed latent row, the latency engine
+ * is untouched. Each timed churn hits the next slot after a normal
+ * quantum.
  */
 Row
 churnReconstruct()
@@ -287,7 +288,7 @@ churnReconstruct()
     HotPath path;
     for (CfEngine *e : {&path.bips, &path.power, &path.latency})
         e->options().svdWarmStart = true;
-    // Warm-up, one churn included, so the timed cold starts reuse
+    // Warm-up, one churn included, so the timed churn quanta reuse
     // warm buffers.
     for (std::size_t q = 0; q < 4; ++q)
         path.quantum(q);
@@ -523,7 +524,7 @@ main(int argc, char **argv)
     printRow("reconstruct x3, warm", steady.reconstruct, kSgdBudgetMs,
              "Table II SGD");
     printRow("reconstruct x3, after churn", churn, kSgdBudgetMs,
-             "Table II SGD (BIPS + power cold)");
+             "Table II SGD (churned row reset)");
     printRow("greedy knapsack seed", steady.seed, kDdsBudgetMs,
              "Table II DDS, shared with the search");
     printRow("parallel DDS, 8 workers", steady.dds, kDdsBudgetMs,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/arena.hh"
+#include "common/kernels.hh"
 #include "common/logging.hh"
 
 namespace cuttlesys {
@@ -37,10 +38,17 @@ CfEngine::clearJob(std::size_t job)
 {
     CS_ASSERT(job < numJobs_, "live job ", job, " out of range");
     ratings_.clearRow(trainingRows_ + job);
-    // Job churn: the cached factors encode the departed job's row, so
-    // warm-starting from them would bias the replacement's
-    // predictions toward its predecessor.
-    factors_.invalidate();
+    // Job churn resets only the departed job's latent row. P and the
+    // other rows are fitted almost entirely to the dense training
+    // rows, which did not change, so the next reconstruction
+    // warm-starts from them instead of re-running the SVD
+    // initialization. The replacement's row starts at zero: with its
+    // two profiling samples it takes the neighbourhood blend, which
+    // never reads q, and from rowBlendThreshold samples on the
+    // fold-in re-solves q in closed form.
+    if (!factors_.empty())
+        kernels::fill(factors_.qRow(trainingRows_ + job), 0.0,
+                      factors_.stride);
 }
 
 std::size_t
@@ -86,6 +94,7 @@ CfEngine::predictInto(Matrix &out, ScratchArena &arena) const
         rowContext_.empty() ? nullptr : &rowContext_,
         factors_, out, trainingRows_, arena);
     lastIterations_ = stats.iterations;
+    lastColdStart_ = stats.coldStart;
 
     // Measured cells override their predictions (Section IV-B).
     for (std::size_t j = 0; j < numJobs_; ++j) {

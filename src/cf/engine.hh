@@ -51,7 +51,12 @@ class CfEngine
     /** Record a live-job observation. */
     void observe(std::size_t job, std::size_t config, double value);
 
-    /** Forget all observations of a live job (job churn). */
+    /**
+     * Forget all observations of a live job (job churn). When factors
+     * are cached, the job's latent row is zeroed across the full
+     * lane-padded stride and P and every other row are kept, so the
+     * next predict() warm-starts.
+     */
     void clearJob(std::size_t job);
 
     /** Observations currently held for a live job. */
@@ -75,16 +80,22 @@ class CfEngine
     /** Last reconstruction's iteration count (0 before any predict). */
     std::size_t lastIterations() const { return lastIterations_; }
 
+    /** True when the last reconstruction cold-started. */
+    bool lastColdStart() const { return lastColdStart_; }
+
     /**
-     * Drop the cached factors; the next predict() cold-starts. Each
+     * Drop the cached factors; the next predict() cold-starts (random
+     * plus, with svdWarmStart, Jacobi-SVD initialization). Each
      * reconstruction otherwise starts from the previous one's
-     * factors. clearJob() drops them too: a churned row makes the old
-     * factors a misleading start.
+     * factors, job churn included (see clearJob()).
      */
     void invalidateFactors() { factors_.invalidate(); }
 
     /** True when a warm start is available for the next predict(). */
     bool hasCachedFactors() const { return !factors_.empty(); }
+
+    /** The cached factors (empty before the first predict()). */
+    const SgdFactors &factors() const { return factors_; }
 
     SgdOptions &options() { return options_; }
     const SgdOptions &options() const { return options_; }
@@ -97,6 +108,7 @@ class CfEngine
     std::vector<double> rowContext_; //!< empty = no context
     mutable SgdFactors factors_;     //!< last predict()'s factors
     mutable std::size_t lastIterations_ = 0;
+    mutable bool lastColdStart_ = false;
 };
 
 } // namespace cuttlesys

@@ -251,7 +251,8 @@ blendSparseRows(const RatingMatrix &ratings, const SgdOptions &options,
     const std::size_t cols = ratings.cols();
 
     // Neighbor rows must be fully observed (training rows are; live
-    // rows never come close).
+    // rows never come close), so their raw values rows are read
+    // without a mask check.
     std::size_t *dense = arena.alloc<std::size_t>(rows);
     std::size_t n_dense = 0;
     for (std::size_t r = 0; r < rows; ++r) {
@@ -274,12 +275,14 @@ blendSparseRows(const RatingMatrix &ratings, const SgdOptions &options,
             continue;
 
         // The sparse row's observations in transform space.
+        const char *mask = ratings.maskRow(r);
+        const double *vals = ratings.valuesRow(r);
         std::size_t obs_n = 0;
         for (std::size_t c = 0; c < cols; ++c) {
-            if (ratings.observed(r, c)) {
+            if (mask[c]) {
                 obs_cols[obs_n] = c;
-                obs_vals[obs_n] = transformValue(
-                    ratings.value(r, c), options.logTransform);
+                obs_vals[obs_n] =
+                    transformValue(vals[c], options.logTransform);
                 ++obs_n;
             }
         }
@@ -287,17 +290,18 @@ blendSparseRows(const RatingMatrix &ratings, const SgdOptions &options,
         // Per dense row: level offset + post-alignment shape error.
         for (std::size_t t = 0; t < n_dense; ++t) {
             const std::size_t dr = dense[t];
+            const double *dense_vals = ratings.valuesRow(dr);
             double offset = 0.0;
             for (std::size_t o = 0; o < obs_n; ++o) {
                 offset += obs_vals[o] -
-                    transformValue(ratings.value(dr, obs_cols[o]),
+                    transformValue(dense_vals[obs_cols[o]],
                                    options.logTransform);
             }
             offset /= static_cast<double>(obs_n);
             double err = 0.0;
             for (std::size_t o = 0; o < obs_n; ++o) {
                 const double aligned =
-                    transformValue(ratings.value(dr, obs_cols[o]),
+                    transformValue(dense_vals[obs_cols[o]],
                                    options.logTransform) + offset;
                 err += (obs_vals[o] - aligned) *
                        (obs_vals[o] - aligned);
@@ -347,7 +351,7 @@ blendSparseRows(const RatingMatrix &ratings, const SgdOptions &options,
             double value = 0.0;
             for (std::size_t t = 0; t < n_dense; ++t) {
                 value += weights[t] *
-                    (transformValue(ratings.value(dense[t], c),
+                    (transformValue(ratings.valuesRow(dense[t])[c],
                                     options.logTransform) +
                      offsets[t]);
             }
@@ -386,8 +390,10 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
     Rng rng(options.seed);
     const bool warm = !factors.empty() && factors.rows == rows &&
                       factors.cols == cols && factors.rank == rank;
+    SgdRunStats stats;
+    stats.coldStart = !warm;
     if (!warm) {
-        // Cold start (or shape churn): zero-fill — which establishes
+        // Cold start (or shape change): zero-fill — which establishes
         // the lane padding's invariant — then draw the random factor
         // entries in the same q-before-p order as always.
         factors.reshape(rows, cols, rank);
@@ -412,7 +418,6 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
     double *q = factors.q.data();
     double *p = factors.p.data();
 
-    SgdRunStats stats;
     if (total > 0) {
         std::size_t conv_n = 0;
         const Sample *conv = convergenceSubset(

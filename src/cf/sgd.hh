@@ -101,7 +101,9 @@ struct SgdOptions
  * rating matrix changes by a handful of cells per decision quantum,
  * so the previous quantum's factors are a near-converged starting
  * point: SGD then needs a few adaptation epochs instead of a full
- * cold-start run (and no O(n^3) SVD).
+ * cold-start run (and no O(n^3) SVD). Job churn keeps them too: the
+ * dense training rows dominate P, so CfEngine::clearJob() zeroes only
+ * the churned row's q and the next run stays warm.
  */
 struct SgdFactors
 {
@@ -126,7 +128,8 @@ struct SgdFactors
      * the sort permutation. It lives with the factors, not in the
      * quantum arena, whose slab would keep the cold start's
      * high-water for good; sized on the first cold start, it serves
-     * every later one (job churn) without touching the heap.
+     * every later one (CfEngine::invalidateFactors()) without
+     * touching the heap.
      */
     std::vector<double> svdWork;
     std::vector<std::size_t> svdOrder;
@@ -195,9 +198,9 @@ struct SgdResult
  * @param warm_start optional factors from a previous reconstruction
  *        of (a slightly updated version of) the same matrix. Used as
  *        the starting point when their shape matches the current
- *        (rows, cols, effective rank); otherwise — cold start or job
- *        churn — the random / Jacobi-SVD initialization runs as
- *        usual.
+ *        (rows, cols, effective rank); otherwise — cold start or
+ *        shape change — the random / Jacobi-SVD initialization runs
+ *        as usual.
  *
  * Predictions of physical quantities are clamped to be non-negative.
  */
@@ -211,6 +214,8 @@ struct SgdRunStats
 {
     std::size_t iterations = 0;
     double trainRmse = 0.0;  //!< RMSE on observed (normalized) cells
+    /** The factors were (re)initialized instead of warm-started. */
+    bool coldStart = false;
 };
 
 /**

@@ -275,6 +275,21 @@ diffDecisionTraces(const std::vector<telemetry::QuantumRecord> &a,
               rb.completedAccounts);
         d.cmp("dag.done_makespans", ra.completedMakespans,
               rb.completedMakespans);
+
+        // Deterministic work: SGD epochs and cold starts per engine
+        // are a function of the decision inputs, so a change in the
+        // reconstruction's algorithmic work shows here at any host
+        // load, even when the decisions happen to agree.
+        d.cmp("work.sgd_epochs",
+              std::vector<std::size_t>(ra.sgdEpochs.begin(),
+                                       ra.sgdEpochs.end()),
+              std::vector<std::size_t>(rb.sgdEpochs.begin(),
+                                       rb.sgdEpochs.end()));
+        d.cmp("work.cold",
+              std::vector<std::size_t>(ra.coldStarts.begin(),
+                                       ra.coldStarts.end()),
+              std::vector<std::size_t>(rb.coldStarts.begin(),
+                                       rb.coldStarts.end()));
     }
     return diff;
 }

@@ -75,9 +75,10 @@ CuttleSysOptions::CuttleSysOptions()
     // Tail latencies span orders of magnitude across configurations;
     // learn them in log space.
     sgdLatency.logTransform = true;
-    // Cold starts (first quantum, job churn) take the Jacobi-SVD
-    // initialization; every other quantum warm-starts from the
-    // previous reconstruction's factors and skips the SVD entirely.
+    // Cold starts (the first quantum) take the Jacobi-SVD
+    // initialization; every other quantum, job churn included,
+    // warm-starts from the previous reconstruction's factors and
+    // skips the SVD entirely.
     sgdBips.svdWarmStart = true;
     sgdPower.svdWarmStart = true;
     sgdLatency.svdWarmStart = true;
@@ -239,6 +240,14 @@ CuttleSysScheduler::reconstructAll()
             break;
         }
     });
+    if (telemetry::QuantumRecord *rec = traceRecord()) {
+        const CfEngine *engines[telemetry::kNumCfMetrics] = {
+            &bipsEngine_, &powerEngine_, &latencyEngine_};
+        for (std::size_t m = 0; m < telemetry::kNumCfMetrics; ++m) {
+            rec->sgdEpochs[m] = engines[m]->lastIterations();
+            rec->coldStarts[m] = engines[m]->lastColdStart();
+        }
+    }
 }
 
 JobConfig
@@ -639,6 +648,14 @@ CuttleSysScheduler::onJobChurn(std::size_t slot)
     // The cached schedule described the departed tenant: the next
     // quantum must re-search (InvalidationReason::Churn).
     churnDirty_ = true;
+}
+
+void
+CuttleSysScheduler::invalidateFactors()
+{
+    bipsEngine_.invalidateFactors();
+    powerEngine_.invalidateFactors();
+    latencyEngine_.invalidateFactors();
 }
 
 } // namespace cuttlesys

@@ -147,9 +147,10 @@ class CuttleSysScheduler : public Scheduler
     /**
      * Drop batch slot @p slot's learned state on churn: its rows in
      * the BIPS and power rating matrices are cleared through
-     * CfEngine::clearJob, which also invalidates the engines' cached
-     * SGD warm-start factors — the next tenant's profiling samples
-     * start a clean row instead of blending with the departed job's.
+     * CfEngine::clearJob, which also zeroes the slot's latent row in
+     * the engines' cached SGD factors — the next tenant's profiling
+     * samples start a clean row instead of blending with the departed
+     * job's, while the training rows' factors stay warm.
      */
     void onJobChurn(std::size_t slot) override;
 
@@ -159,6 +160,13 @@ class CuttleSysScheduler : public Scheduler
     /** Reconstruction engines (exposed for churn regression tests). */
     const CfEngine &bipsEngine() const { return bipsEngine_; }
     const CfEngine &powerEngine() const { return powerEngine_; }
+
+    /**
+     * Drop all three engines' cached factors, so the next full
+     * quantum cold-starts every reconstruction, Jacobi-SVD
+     * initialization included (the allocation gate's cold leg).
+     */
+    void invalidateFactors();
 
     /** Predictions from the most recent decide(), for accuracy
      *  studies (rows: batch jobs; cols: joint configs). */

@@ -40,8 +40,8 @@ namespace cuttlesys {
  * its own). A departure without an arrival vacates the slot; an
  * arrival installs @ref profile (replacing any sitting tenant).
  * Either way the scheduler's onJobChurn() fires for the slot, which
- * is what flows into CfEngine::clearJob and invalidates the row's
- * reconstruction history and cached SGD warm-start factors.
+ * is what flows into CfEngine::clearJob and resets the row's
+ * reconstruction history and its latent factors.
  */
 struct JobEvent
 {

@@ -99,6 +99,12 @@ const char *invalidationReasonName(InvalidationReason reason);
 /** Inverse of invalidationReasonName(); None for unknown names. */
 InvalidationReason invalidationReasonFromName(std::string_view name);
 
+/**
+ * Reconstruction engines of one CuttleSys node, in the order of the
+ * per-metric work counters: BIPS, power, tail latency.
+ */
+inline constexpr std::size_t kNumCfMetrics = 3;
+
 /** Phases timed inside one decision quantum. */
 enum class Phase : std::uint8_t
 {
@@ -213,6 +219,15 @@ struct QuantumRecord
     std::vector<std::int64_t> completedWorkflows;
     std::vector<std::int32_t> completedAccounts;
     std::vector<std::int64_t> completedMakespans;
+
+    // --- deterministic work counters (full CuttleSys quanta) ----------
+    /** SGD epochs each reconstruction ran this quantum (BIPS, power,
+     *  latency); all zero when nothing was reconstructed (fast-reuse
+     *  quanta, baseline schedulers). */
+    std::array<std::size_t, kNumCfMetrics> sgdEpochs{};
+    /** Engines whose reconstruction cold-started this quantum (random
+     *  and Jacobi-SVD initialization instead of the cached factors). */
+    std::array<bool, kNumCfMetrics> coldStarts{};
 
     // --- phase timers, seconds (indexed by Phase) ---------------------
     std::array<double, kNumPhases> phaseSec{};

@@ -397,6 +397,19 @@ parseRecord(std::string_view line)
         }
     }
 
+    if (const JsonObject *w = field(*top, "work").asObject()) {
+        if (const JsonArray *a = field(*w, "sgd_epochs").asArray()) {
+            for (std::size_t m = 0; m < a->size() && m < kNumCfMetrics;
+                 ++m)
+                rec.sgdEpochs[m] = asIndex((*a)[m]);
+        }
+        if (const JsonArray *a = field(*w, "cold").asArray()) {
+            for (std::size_t m = 0; m < a->size() && m < kNumCfMetrics;
+                 ++m)
+                rec.coldStarts[m] = (*a)[m].asBool();
+        }
+    }
+
     if (const JsonObject *ph = field(*top, "phase_ms").asObject()) {
         for (std::size_t p = 0; p < kNumPhases; ++p) {
             rec.phaseSec[p] =

@@ -308,6 +308,28 @@ JsonlSink::toJson(const QuantumRecord &rec)
         js += "}";
     }
 
+    // Work counters are optional as well: records of quanta that ran
+    // no reconstruction (fast reuse, baseline schedulers) carry all
+    // zeros and emit no group.
+    bool worked = false;
+    for (std::size_t m = 0; m < kNumCfMetrics; ++m)
+        worked = worked || rec.sgdEpochs[m] > 0 || rec.coldStarts[m];
+    if (worked) {
+        js += ",\"work\":{\"sgd_epochs\":[";
+        for (std::size_t m = 0; m < kNumCfMetrics; ++m) {
+            if (m)
+                js += ',';
+            appendNumber(js, rec.sgdEpochs[m]);
+        }
+        js += "],\"cold\":[";
+        for (std::size_t m = 0; m < kNumCfMetrics; ++m) {
+            if (m)
+                js += ',';
+            js += boolName(rec.coldStarts[m]);
+        }
+        js += "]}";
+    }
+
     js += ",\"phase_ms\":{";
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         if (p)

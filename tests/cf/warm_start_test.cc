@@ -2,14 +2,17 @@
  * @file
  * Tests for the cross-quantum warm-start path of the reconstruction:
  * factors returned by one reconstruct() feed the next, the engine
- * caches and invalidates them, the arena-fed predictInto() matches
- * predict() and reuses buffers, and the subsampled convergence check
- * does not cost accuracy.
+ * caches them, resets only a churned row and invalidates them on
+ * request, the arena-fed predictInto() matches predict() and reuses
+ * buffers, and the subsampled convergence check does not cost
+ * accuracy.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "cf/engine.hh"
 #include "cf/sgd.hh"
@@ -111,16 +114,50 @@ TEST(WarmStartTest, EnginePredictUsesCachedFactors)
     EXPECT_LT(engine.lastIterations(), cold_iters);
 }
 
-TEST(WarmStartTest, ClearJobInvalidatesFactors)
+TEST(WarmStartTest, ClearJobResetsOnlyTheChurnedRow)
 {
     Rng rng(59);
     const Matrix training = lowRankMatrix(10, 16, 3, rng);
     CfEngine engine(training, 2, 16);
+    engine.options().rank = 6; // stride 8: two lanes of padding
     engine.observe(0, 1, training(1, 1));
+    engine.observe(1, 4, training(3, 4));
     engine.predict();
-    ASSERT_TRUE(engine.hasCachedFactors());
+    ASSERT_TRUE(engine.lastColdStart());
+    const std::size_t cold_iters = engine.lastIterations();
+    const SgdFactors before = engine.factors();
+
     engine.clearJob(0);
-    EXPECT_FALSE(engine.hasCachedFactors());
+    EXPECT_EQ(engine.observationsForJob(0), 0u);
+    EXPECT_TRUE(engine.hasCachedFactors());
+
+    // Bitwise: P and every other q row keep their bits; the churned
+    // row (the first live row, after the 10 training rows) is zero
+    // across the whole stride, padding included.
+    const SgdFactors &after = engine.factors();
+    ASSERT_EQ(after.rows, before.rows);
+    ASSERT_EQ(after.cols, before.cols);
+    ASSERT_EQ(after.rank, before.rank);
+    ASSERT_EQ(after.stride, before.stride);
+    ASSERT_EQ(after.p.size(), before.p.size());
+    EXPECT_EQ(std::memcmp(after.p.data(), before.p.data(),
+                          before.p.size() * sizeof(double)),
+              0);
+    const std::vector<double> zeros(after.stride, 0.0);
+    const std::size_t churned = 10;
+    for (std::size_t r = 0; r < after.rows; ++r) {
+        const double *expected =
+            r == churned ? zeros.data() : before.qRow(r);
+        EXPECT_EQ(std::memcmp(after.qRow(r), expected,
+                              after.stride * sizeof(double)),
+                  0)
+            << "q row " << r;
+    }
+
+    // The next reconstruction warm-starts from the kept factors.
+    engine.predict();
+    EXPECT_FALSE(engine.lastColdStart());
+    EXPECT_LT(engine.lastIterations(), cold_iters);
 }
 
 TEST(WarmStartTest, WarmStartCanBeDisabled)

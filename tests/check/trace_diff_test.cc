@@ -90,6 +90,26 @@ TEST(TraceDiffTest, FloatFieldsCompareExactly)
     EXPECT_EQ(diff.mismatches[0].field, "executed.power_w");
 }
 
+TEST(TraceDiffTest, WorkCountersAreStructural)
+{
+    // The reconstruction's work is deterministic given the inputs: an
+    // extra epoch or a cold start where the reference warm-started
+    // is a replay mismatch even when every decision agrees.
+    const auto a = makeTrace(3);
+    auto b = makeTrace(3);
+    b[1].sgdEpochs[1] = 4;
+    b[2].coldStarts[0] = true;
+    const TraceDiff diff = diffDecisionTraces(a, b);
+    ASSERT_EQ(diff.mismatches.size(), 2u);
+    EXPECT_EQ(diff.mismatches[0].slice, 1u);
+    EXPECT_EQ(diff.mismatches[0].field, "work.sgd_epochs");
+    EXPECT_EQ(diff.mismatches[0].lhs, "[0,0,0]");
+    EXPECT_EQ(diff.mismatches[0].rhs, "[0,4,0]");
+    EXPECT_EQ(diff.mismatches[1].slice, 2u);
+    EXPECT_EQ(diff.mismatches[1].field, "work.cold");
+    EXPECT_EQ(diff.mismatches[1].rhs, "[1,0,0]");
+}
+
 TEST(TraceDiffTest, VictimListsAreStructural)
 {
     const auto a = makeTrace(3);

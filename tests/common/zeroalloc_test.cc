@@ -245,12 +245,14 @@ TEST(ZeroAlloc, FastReuseQuantumIsHeapFree)
 
 TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
 {
-    // The churn gate: onJobChurn clears a slot's rows and drops both
-    // engines' factors, so the next decision cold-starts the BIPS and
-    // power reconstructions — Jacobi-SVD warm start included — and
-    // re-searches. The cold start's buffers come from the quantum
-    // arena and the engines' SVD workspace, both sized by earlier
-    // cold starts, so a churn quantum is as heap-free as a steady one.
+    // The churn gate: onJobChurn clears a slot's rows and zeroes its
+    // latent row, and the next decision re-searches on warm-started
+    // reconstructions. Every other measured quantum also drops all
+    // three engines' factors first, so that decision cold-starts
+    // every reconstruction — Jacobi-SVD initialization included. The
+    // cold start's buffers come from the quantum arena and the
+    // engines' SVD workspace, both sized by the first quantum's cold
+    // start, so either churn quantum is as heap-free as a steady one.
     setInformEnabled(false);
     const SystemParams params;
     DriverOptions opts;
@@ -266,24 +268,28 @@ TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
     const std::size_t slots = node.numBatchSlots();
 
     std::size_t churned = 0;
-    auto churnStep = [&] {
+    auto churnStep = [&](bool cold) {
         node.scheduler().onJobChurn(churned++ % slots);
+        if (cold)
+            node.scheduler().invalidateFactors();
         node.step();
     };
     for (int q = 0; q < 12; ++q)
         node.step();
     for (int q = 0; q < 4; ++q)
-        churnStep();
+        churnStep(q % 2 == 1);
 
     constexpr int kMeasured = 8;
     const std::uint64_t before = AllocProbe::newCount();
     for (int q = 0; q < kMeasured; ++q)
-        churnStep();
+        churnStep(q % 2 == 1);
     const std::uint64_t allocs = AllocProbe::newCount() - before;
 
     EXPECT_EQ(allocs, 0u)
         << "churn quantum touched the heap " << allocs
         << " times over " << kMeasured << " quanta";
+    EXPECT_TRUE(node.scheduler().bipsEngine().lastColdStart())
+        << "the last measured quantum must be the cold leg";
 }
 
 /** Heap allocations over the next @p quanta fleet quanta. */

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/cuttlesys.hh"
 #include "power/power_model.hh"
+#include "sim/ground_truth.hh"
 #include "sim/driver.hh"
 #include "telemetry/trace_reader.hh"
 #include "telemetry/trace_sink.hh"
@@ -366,6 +371,31 @@ TEST(CuttleSysTest, JsonlTraceHasOneParseableRecordPerSlice)
     EXPECT_EQ(records[0].lcPath, telemetry::LcPath::ColdStart);
 }
 
+/** Bitwise factor check after a churn of live row @p live. */
+void
+expectOnlyRowReset(const CfEngine &engine, const SgdFactors &before,
+                   std::size_t live)
+{
+    EXPECT_TRUE(engine.hasCachedFactors());
+    const SgdFactors &after = engine.factors();
+    ASSERT_EQ(after.rows, before.rows);
+    ASSERT_EQ(after.stride, before.stride);
+    ASSERT_EQ(after.p.size(), before.p.size());
+    EXPECT_EQ(std::memcmp(after.p.data(), before.p.data(),
+                          before.p.size() * sizeof(double)),
+              0);
+    const std::size_t churned = after.rows - engine.numJobs() + live;
+    const std::vector<double> zeros(after.stride, 0.0);
+    for (std::size_t r = 0; r < after.rows; ++r) {
+        const double *expected =
+            r == churned ? zeros.data() : before.qRow(r);
+        EXPECT_EQ(std::memcmp(after.qRow(r), expected,
+                              after.stride * sizeof(double)),
+                  0)
+            << "q row " << r;
+    }
+}
+
 TEST(CuttleSysTest, JobChurnClearsLearnedStateForTheSlot)
 {
     const SystemParams params;
@@ -381,21 +411,142 @@ TEST(CuttleSysTest, JobChurnClearsLearnedStateForTheSlot)
     ASSERT_GT(sched.powerEngine().observationsForJob(live), 0u);
     ASSERT_TRUE(sched.bipsEngine().hasCachedFactors());
     ASSERT_TRUE(sched.powerEngine().hasCachedFactors());
+    const SgdFactors bips_before = sched.bipsEngine().factors();
+    const SgdFactors power_before = sched.powerEngine().factors();
 
     sched.onJobChurn(slot);
 
-    // The departed job's rows are gone and the cached factors (which
-    // encode them) must not warm-start the replacement's predictions.
+    // The departed job's observations and latent row are gone; P and
+    // every other row's factors stay cached as the warm start.
     EXPECT_EQ(sched.bipsEngine().observationsForJob(live), 0u);
     EXPECT_EQ(sched.powerEngine().observationsForJob(live), 0u);
-    EXPECT_FALSE(sched.bipsEngine().hasCachedFactors());
-    EXPECT_FALSE(sched.powerEngine().hasCachedFactors());
+    expectOnlyRowReset(sched.bipsEngine(), bips_before, live);
+    expectOnlyRowReset(sched.powerEngine(), power_before, live);
 
     // Untouched slots keep their history.
     EXPECT_GT(sched.bipsEngine().observationsForJob(1 + 5), 0u);
 
     sched.onJobChurn(slot); // idempotent on an already-cleared slot
     EXPECT_EQ(sched.bipsEngine().observationsForJob(live), 0u);
+    expectOnlyRowReset(sched.bipsEngine(), bips_before, live);
+
+    // The churn forces a full quantum, and its reconstructions
+    // warm-start.
+    SliceContext ctx;
+    ctx.powerBudgetW = 100.0;
+    ctx.lcQosSec = sim.mix().lc.qosSeconds();
+    sched.decide(ctx);
+    EXPECT_FALSE(sched.bipsEngine().lastColdStart());
+    EXPECT_FALSE(sched.powerEngine().lastColdStart());
+    EXPECT_GE(sched.bipsEngine().lastIterations(), 1u);
+}
+
+/**
+ * Mean relative error of row @p job of @p pred against @p truth over
+ * the cells @p measured does not mark.
+ */
+double
+unmeasuredError(const Matrix &pred, std::size_t job, const double *truth,
+                const std::vector<char> &measured)
+{
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (std::size_t c = 0; c < pred.cols(); ++c) {
+        if (measured[c])
+            continue;
+        sum += std::abs(pred(job, c) - truth[c]) / truth[c];
+        ++n;
+    }
+    return n ? sum / static_cast<double>(n) : 0.0;
+}
+
+TEST(CuttleSysTest, ChurnResetPredictsNoWorseThanColdStart)
+{
+    // clearJob keeps P and the other rows' factors and zeroes only the
+    // churned row; invalidateFactors() instead re-runs the cold start
+    // (random + Jacobi-SVD initialization) over the same matrix. The
+    // replacement job gains one measured cell per quantum on top of
+    // its two profiling samples; once it holds rowBlendThreshold of
+    // them the fold-in reads the factors (before that both arms take
+    // the neighbourhood blend and agree). Over ten seeds, the warm
+    // reset's predictions of its unmeasured cells must be as accurate
+    // as the cold start's: a mean relative error at most kTolerance
+    // (relative) above the cold arm's. Seed by seed the two arms
+    // differ by a few percent either way.
+    constexpr double kTolerance = 0.02;
+    constexpr std::size_t kLive = 16;
+    constexpr std::size_t kWarmUpQuanta = 8;
+    constexpr std::size_t kChurnQuanta = 12;
+    const SystemParams params;
+    const std::vector<AppProfile> &apps = splitSpecGallery().test;
+    const BatchTruth truth = batchTruthTables(apps, params);
+    const CuttleSysOptions shipped;
+
+    double warm_err = 0.0, cold_err = 0.0;
+    std::size_t scored = 0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        Rng rng(seed);
+        auto pickApp = [&] {
+            return static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(apps.size()) - 1));
+        };
+        std::vector<std::size_t> app(kLive);
+        for (std::size_t &a : app)
+            a = pickApp();
+        CfEngine warm(testTrainingTables().bips, kLive, kNumJobConfigs,
+                      shipped.sgdBips);
+        const std::size_t slot = seed % kLive;
+        std::vector<char> measured(kNumJobConfigs, 0);
+        // One quantum of ingest: the two profiling samples plus one
+        // steady-state measurement per live job, with 1% measurement
+        // noise.
+        auto ingest = [&](std::vector<CfEngine *> engines) {
+            for (std::size_t j = 0; j < kLive; ++j) {
+                const double *row = truth.bips.rowPtr(app[j]);
+                const auto cfg = static_cast<std::size_t>(
+                    rng.uniformInt(
+                        1, static_cast<std::int64_t>(kNumJobConfigs) - 2));
+                for (std::size_t c : {std::size_t{0}, cfg,
+                                      kNumJobConfigs - 1}) {
+                    const double v =
+                        row[c] * (1.0 + rng.normal(0.0, 0.01));
+                    for (CfEngine *e : engines)
+                        e->observe(j, c, v);
+                    if (j == slot)
+                        measured[c] = 1;
+                }
+            }
+        };
+        for (std::size_t q = 0; q < kWarmUpQuanta; ++q) {
+            ingest({&warm});
+            warm.predict();
+        }
+
+        app[slot] = pickApp();
+        warm.clearJob(slot);
+        std::fill(measured.begin(), measured.end(), 0);
+        CfEngine cold = warm;
+        cold.invalidateFactors();
+        for (std::size_t q = 0; q < kChurnQuanta; ++q) {
+            ingest({&warm, &cold});
+            const Matrix warm_pred = warm.predict();
+            const Matrix cold_pred = cold.predict();
+            if (warm.observationsForJob(slot) <
+                shipped.sgdBips.rowBlendThreshold)
+                continue;
+            const double *row = truth.bips.rowPtr(app[slot]);
+            warm_err += unmeasuredError(warm_pred, slot, row, measured);
+            cold_err += unmeasuredError(cold_pred, slot, row, measured);
+            ++scored;
+        }
+    }
+    ASSERT_GT(scored, 0u);
+    warm_err /= static_cast<double>(scored);
+    cold_err /= static_cast<double>(scored);
+    RecordProperty("warm_mean_rel_err", std::to_string(warm_err));
+    RecordProperty("cold_mean_rel_err", std::to_string(cold_err));
+    EXPECT_LE(warm_err, cold_err * (1.0 + kTolerance))
+        << "warm reset " << warm_err << " vs cold start " << cold_err;
 }
 
 TEST(CuttleSysTest, ConstructorValidation)

@@ -56,6 +56,8 @@ fullRecord()
     rec.executedPowerW = 91.5;
     rec.qosViolated = true;
     rec.gmeanBips = 5.625;
+    rec.sgdEpochs = {14, 3, 27};
+    rec.coldStarts = {true, false, true};
     for (std::size_t p = 0; p < kNumPhases; ++p)
         rec.phaseSec[p] = 0.001 * static_cast<double>(p + 1);
     return rec;
@@ -198,8 +200,32 @@ TEST(TraceRoundTripTest, JsonPreservesEveryField)
     EXPECT_DOUBLE_EQ(back.executedPowerW, rec.executedPowerW);
     EXPECT_EQ(back.qosViolated, rec.qosViolated);
     EXPECT_DOUBLE_EQ(back.gmeanBips, rec.gmeanBips);
+    EXPECT_EQ(back.sgdEpochs, rec.sgdEpochs);
+    EXPECT_EQ(back.coldStarts, rec.coldStarts);
     for (std::size_t p = 0; p < kNumPhases; ++p)
         EXPECT_NEAR(back.phaseSec[p], rec.phaseSec[p], 1e-12) << p;
+}
+
+TEST(TraceRoundTripTest, WorkGroupOnlyWhenSomethingWasReconstructed)
+{
+    // A quantum that ran no reconstruction (fast reuse, a baseline)
+    // emits no work group and parses back as all zeros.
+    QuantumRecord idle = fullRecord();
+    idle.sgdEpochs = {};
+    idle.coldStarts = {};
+    const std::string idle_json = JsonlSink::toJson(idle);
+    EXPECT_EQ(idle_json.find("\"work\""), std::string::npos);
+    const QuantumRecord idle_back = parseRecord(idle_json);
+    EXPECT_EQ(idle_back.sgdEpochs, idle.sgdEpochs);
+    EXPECT_EQ(idle_back.coldStarts, idle.coldStarts);
+
+    // A cold start is work even if no epoch ran (an empty matrix).
+    QuantumRecord cold = idle;
+    cold.coldStarts[2] = true;
+    EXPECT_NE(JsonlSink::toJson(cold).find("\"work\""),
+              std::string::npos);
+    EXPECT_EQ(parseRecord(JsonlSink::toJson(cold)).coldStarts,
+              cold.coldStarts);
 }
 
 TEST(TraceRoundTripTest, JsonlStreamRoundTrips)
