@@ -278,8 +278,8 @@ steadyQuanta()
  * The three reconstructions of a quantum that follows onJobChurn of one
  * slot, with the runtime's options (Jacobi-SVD initialization on, taken
  * only by the first quantum's cold start): the BIPS and power engines
- * warm-start around the slot's zeroed latent row, the latency engine
- * is untouched. Each timed churn hits the next slot after a normal
+ * warm-start and fold-in solve the slot's zeroed latent row before
+ * their first epoch, the latency engine is untouched. Each timed churn hits the next slot after a normal
  * quantum.
  */
 Row

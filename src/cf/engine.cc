@@ -42,10 +42,10 @@ CfEngine::clearJob(std::size_t job)
     // other rows are fitted almost entirely to the dense training
     // rows, which did not change, so the next reconstruction
     // warm-starts from them instead of re-running the SVD
-    // initialization. The replacement's row starts at zero: with its
-    // two profiling samples it takes the neighbourhood blend, which
-    // never reads q, and from rowBlendThreshold samples on the
-    // fold-in re-solves q in closed form.
+    // initialization. The zeroed row marks the reset: the next
+    // reconstruction fold-in solves it against the warm P before its
+    // first epoch, so SGD does not spend tens of epochs pulling it up
+    // from zero.
     if (!factors_.empty())
         kernels::fill(factors_.qRow(trainingRows_ + job), 0.0,
                       factors_.stride);
@@ -89,12 +89,10 @@ CfEngine::predict() const
 void
 CfEngine::predictInto(Matrix &out, ScratchArena &arena) const
 {
-    const SgdRunStats stats = reconstructInto(
+    lastRun_ = reconstructInto(
         ratings_, options_,
         rowContext_.empty() ? nullptr : &rowContext_,
         factors_, out, trainingRows_, arena);
-    lastIterations_ = stats.iterations;
-    lastColdStart_ = stats.coldStart;
 
     // Measured cells override their predictions (Section IV-B).
     for (std::size_t j = 0; j < numJobs_; ++j) {

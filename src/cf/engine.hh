@@ -55,7 +55,9 @@ class CfEngine
      * Forget all observations of a live job (job churn). When factors
      * are cached, the job's latent row is zeroed across the full
      * lane-padded stride and P and every other row are kept, so the
-     * next predict() warm-starts.
+     * next predict() warm-starts; once the replacement has samples,
+     * that predict() fold-in solves the zeroed row against the warm P
+     * before its first SGD epoch.
      */
     void clearJob(std::size_t job);
 
@@ -78,10 +80,13 @@ class CfEngine
     void predictInto(Matrix &out, ScratchArena &arena) const;
 
     /** Last reconstruction's iteration count (0 before any predict). */
-    std::size_t lastIterations() const { return lastIterations_; }
+    std::size_t lastIterations() const { return lastRun_.iterations; }
 
     /** True when the last reconstruction cold-started. */
-    bool lastColdStart() const { return lastColdStart_; }
+    bool lastColdStart() const { return lastRun_.coldStart; }
+
+    /** Rows the last reconstruction re-solved by ridge fold-in. */
+    std::size_t lastFoldInSolves() const { return lastRun_.foldInSolves; }
 
     /**
      * Drop the cached factors; the next predict() cold-starts (random
@@ -107,8 +112,7 @@ class CfEngine
     SgdOptions options_;
     std::vector<double> rowContext_; //!< empty = no context
     mutable SgdFactors factors_;     //!< last predict()'s factors
-    mutable std::size_t lastIterations_ = 0;
-    mutable bool lastColdStart_ = false;
+    mutable SgdRunStats lastRun_;    //!< last predict()'s statistics
 };
 
 } // namespace cuttlesys

@@ -171,6 +171,91 @@ sgdUpdate(const Sample &s, double *q, double *p, std::size_t stride,
 }
 
 /**
+ * Closed-form ridge fold-in of single rows against a fixed P:
+ * (P_o^T P_o + lambda I) q = P_o^T y over the row's observed columns.
+ * The samples are row-major, so rowOffsets slices them per row without
+ * a pointer table. Every fully observed row has the same normal matrix
+ * (the same P rows in the same order), so the first one's
+ * factorization serves them all and each builds only its P_o^T y —
+ * which ties a solver to one P: a change of P needs a new solver.
+ */
+class RowFoldIn
+{
+  public:
+    RowFoldIn(const TrainingSet &set, const double *p,
+              std::size_t stride, std::size_t rank, std::size_t cols,
+              double regularization, ScratchArena &arena)
+        : set_(set), p_(p), stride_(stride), rank_(rank), cols_(cols),
+          ridge_(std::max(regularization, 1e-6)),
+          a_(arena.alloc<double>(rank * rank)),
+          b_(arena.alloc<double>(rank)),
+          pivots_(arena.alloc<std::size_t>(rank)),
+          denseLu_(arena.alloc<double>(rank * rank)),
+          densePivots_(arena.alloc<std::size_t>(rank))
+    {}
+
+    /** Re-solve row @p r's first rank factors into @p q_row. */
+    void
+    solve(std::size_t r, double *q_row)
+    {
+        const std::size_t begin = set_.rowOffsets[r];
+        const std::size_t end = set_.rowOffsets[r + 1];
+        kernels::fill(b_, 0.0, rank_);
+        for (std::size_t o = begin; o < end; ++o) {
+            const Sample &s = set_.samples[o];
+            const double *pc = p_ + s.col * stride_;
+            for (std::size_t i = 0; i < rank_; ++i)
+                b_[i] += pc[i] * s.target;
+        }
+        if (end - begin < cols_) {
+            buildNormal(begin, end, a_);
+            solveLinearSystemInPlace(a_, pivots_, b_, rank_);
+        } else {
+            if (!denseFactored_) {
+                buildNormal(begin, end, denseLu_);
+                luFactorInPlace(denseLu_, densePivots_, rank_);
+                denseFactored_ = true;
+            }
+            luReplayInPlace(denseLu_, densePivots_, b_, rank_);
+        }
+        kernels::copy(q_row, b_, rank_);
+        ++solves_;
+    }
+
+    std::size_t solves() const { return solves_; }
+
+  private:
+    void
+    buildNormal(std::size_t begin, std::size_t end, double *normal) const
+    {
+        kernels::fill(normal, 0.0, rank_ * rank_);
+        for (std::size_t o = begin; o < end; ++o) {
+            const double *pc = p_ + set_.samples[o].col * stride_;
+            for (std::size_t i = 0; i < rank_; ++i) {
+                for (std::size_t j = 0; j < rank_; ++j)
+                    normal[i * rank_ + j] += pc[i] * pc[j];
+            }
+        }
+        for (std::size_t i = 0; i < rank_; ++i)
+            normal[i * rank_ + i] += ridge_;
+    }
+
+    const TrainingSet &set_;
+    const double *p_;
+    std::size_t stride_;
+    std::size_t rank_;
+    std::size_t cols_;
+    double ridge_;
+    double *a_;
+    double *b_;
+    std::size_t *pivots_;
+    double *denseLu_;
+    std::size_t *densePivots_;
+    bool denseFactored_ = false;
+    std::size_t solves_ = 0;
+};
+
+/**
  * SVD warm start: factor the mean-filled normalized matrix into the
  * factors' q and p, in the factors' own SVD workspace.
  * jacobiSvdInPlace wants m >= n and its input column-contiguous, so a
@@ -267,6 +352,7 @@ blendSparseRows(const RatingMatrix &ratings, const SgdOptions &options,
     double *offsets = arena.alloc<double>(n_dense);
     double *distances = arena.alloc<double>(n_dense);
     double *weights = arena.alloc<double>(n_dense);
+    double *blend = arena.alloc<double>(cols);
 
     for (std::size_t r = first_row; r < rows; ++r) {
         const std::size_t n_obs = ratings.observedInRow(r);
@@ -347,17 +433,23 @@ blendSparseRows(const RatingMatrix &ratings, const SgdOptions &options,
             weight_sum += weights[t];
         }
 
-        for (std::size_t c = 0; c < cols; ++c) {
-            double value = 0.0;
-            for (std::size_t t = 0; t < n_dense; ++t) {
-                value += weights[t] *
-                    (transformValue(ratings.valuesRow(dense[t])[c],
+        // Each dense row streams through once, and every column still
+        // sums its terms in dense-row order: the order the blend's
+        // bits (and the frozen replay references) depend on.
+        kernels::fill(blend, 0.0, cols);
+        for (std::size_t t = 0; t < n_dense; ++t) {
+            const double *dense_vals = ratings.valuesRow(dense[t]);
+            for (std::size_t c = 0; c < cols; ++c) {
+                blend[c] += weights[t] *
+                    (transformValue(dense_vals[c],
                                     options.logTransform) +
                      offsets[t]);
             }
-            out(r - first_row, c) =
-                untransformValue(value / weight_sum,
-                                 options.logTransform);
+        }
+        double *dst = out.rowPtr(r - first_row);
+        for (std::size_t c = 0; c < cols; ++c) {
+            dst[c] = untransformValue(blend[c] / weight_sum,
+                                      options.logTransform);
         }
     }
 }
@@ -419,6 +511,23 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
     double *p = factors.p.data();
 
     if (total > 0) {
+        if (warm && options.foldInRows) {
+            // A row whose q is zero across the full stride was reset
+            // by job churn (CfEngine::clearJob()); starting SGD there
+            // would spend tens of epochs pulling one row up from zero.
+            // Its closed-form fold-in against the warm P is the point
+            // those epochs approach, so solve it first.
+            RowFoldIn fold_in(set, p, stride, rank, cols,
+                              options.regularization, arena);
+            for (std::size_t r = 0; r < rows; ++r) {
+                double *qr = q + r * stride;
+                if (set.rowOffsets[r] != set.rowOffsets[r + 1] &&
+                    std::all_of(qr, qr + stride,
+                                [](double v) { return v == 0.0; }))
+                    fold_in.solve(r, qr);
+            }
+            stats.foldInSolves += fold_in.solves();
+        }
         std::size_t conv_n = 0;
         const Sample *conv = convergenceSubset(
             samples, total, options.convergenceSamples, arena, conv_n);
@@ -524,57 +633,14 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
         }
         if (options.foldInRows) {
             // Closed-form ridge refit of each row's factors against
-            // the learned P: (P_o^T P_o + lambda I) q = P_o^T y over
-            // that row's observed columns. The samples are row-major,
-            // so rowOffsets slices them per row without a pointer
-            // table. Every fully observed row has the same normal
-            // matrix (the same P rows in the same order), so the
-            // first one's factorization serves them all and each
-            // builds only its P_o^T y.
-            const double ridge = std::max(options.regularization, 1e-6);
-            double *a = arena.alloc<double>(rank * rank);
-            double *b = arena.alloc<double>(rank);
-            std::size_t *pivots = arena.alloc<std::size_t>(rank);
-            double *dense_lu = arena.alloc<double>(rank * rank);
-            std::size_t *dense_pivots = arena.alloc<std::size_t>(rank);
-            bool dense_factored = false;
+            // the learned P.
+            RowFoldIn fold_in(set, p, stride, rank, cols,
+                              options.regularization, arena);
             for (std::size_t r = 0; r < rows; ++r) {
-                const std::size_t begin = set.rowOffsets[r];
-                const std::size_t end = set.rowOffsets[r + 1];
-                if (begin == end)
-                    continue;
-                kernels::fill(b, 0.0, rank);
-                for (std::size_t o = begin; o < end; ++o) {
-                    const Sample &s = samples[o];
-                    const double *pc = p + s.col * stride;
-                    for (std::size_t i = 0; i < rank; ++i)
-                        b[i] += pc[i] * s.target;
-                }
-                auto buildNormal = [&](double *normal) {
-                    kernels::fill(normal, 0.0, rank * rank);
-                    for (std::size_t o = begin; o < end; ++o) {
-                        const double *pc = p + samples[o].col * stride;
-                        for (std::size_t i = 0; i < rank; ++i) {
-                            for (std::size_t j = 0; j < rank; ++j)
-                                normal[i * rank + j] += pc[i] * pc[j];
-                        }
-                    }
-                    for (std::size_t i = 0; i < rank; ++i)
-                        normal[i * rank + i] += ridge;
-                };
-                if (end - begin < cols) {
-                    buildNormal(a);
-                    solveLinearSystemInPlace(a, pivots, b, rank);
-                } else {
-                    if (!dense_factored) {
-                        buildNormal(dense_lu);
-                        luFactorInPlace(dense_lu, dense_pivots, rank);
-                        dense_factored = true;
-                    }
-                    luReplayInPlace(dense_lu, dense_pivots, b, rank);
-                }
-                kernels::copy(q + r * stride, b, rank);
+                if (set.rowOffsets[r] != set.rowOffsets[r + 1])
+                    fold_in.solve(r, q + r * stride);
             }
+            stats.foldInSolves += fold_in.solves();
         }
         stats.trainRmse = rmse(samples, total, q, p, stride);
     }

@@ -78,7 +78,8 @@ struct SgdOptions
      * with its two profiling samples — barely move their randomly
      * initialized factors during SGD; the closed-form fold-in makes
      * their predictions follow the configuration structure the
-     * training rows established.
+     * training rows established. On a warm start it also solves the
+     * rows a job churn zeroed, before the first epoch.
      */
     bool foldInRows = true;
     /**
@@ -103,7 +104,9 @@ struct SgdOptions
  * point: SGD then needs a few adaptation epochs instead of a full
  * cold-start run (and no O(n^3) SVD). Job churn keeps them too: the
  * dense training rows dominate P, so CfEngine::clearJob() zeroes only
- * the churned row's q and the next run stays warm.
+ * the churned row's q. The next run finds that all-zero row and
+ * fold-in solves it against the warm P before the first epoch, so SGD
+ * starts near its fixed point instead of pulling one row up from zero.
  */
 struct SgdFactors
 {
@@ -216,6 +219,9 @@ struct SgdRunStats
     double trainRmse = 0.0;  //!< RMSE on observed (normalized) cells
     /** The factors were (re)initialized instead of warm-started. */
     bool coldStart = false;
+    /** Rows re-solved by the ridge fold-in: churn-reset rows before
+     *  the first epoch plus every sampled row after the last. */
+    std::size_t foldInSolves = 0;
 };
 
 /**

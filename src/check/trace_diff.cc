@@ -276,10 +276,11 @@ diffDecisionTraces(const std::vector<telemetry::QuantumRecord> &a,
         d.cmp("dag.done_makespans", ra.completedMakespans,
               rb.completedMakespans);
 
-        // Deterministic work: SGD epochs and cold starts per engine
-        // are a function of the decision inputs, so a change in the
-        // reconstruction's algorithmic work shows here at any host
-        // load, even when the decisions happen to agree.
+        // Deterministic work: SGD epochs, cold starts and fold-in
+        // solves per engine are a function of the decision inputs,
+        // so a change in the reconstruction's algorithmic work shows
+        // here at any host load, even when the decisions happen to
+        // agree.
         d.cmp("work.sgd_epochs",
               std::vector<std::size_t>(ra.sgdEpochs.begin(),
                                        ra.sgdEpochs.end()),
@@ -290,6 +291,11 @@ diffDecisionTraces(const std::vector<telemetry::QuantumRecord> &a,
                                        ra.coldStarts.end()),
               std::vector<std::size_t>(rb.coldStarts.begin(),
                                        rb.coldStarts.end()));
+        d.cmp("work.fold_ins",
+              std::vector<std::size_t>(ra.foldInSolves.begin(),
+                                       ra.foldInSolves.end()),
+              std::vector<std::size_t>(rb.foldInSolves.begin(),
+                                       rb.foldInSolves.end()));
     }
     return diff;
 }

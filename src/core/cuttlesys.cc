@@ -246,6 +246,7 @@ CuttleSysScheduler::reconstructAll()
         for (std::size_t m = 0; m < telemetry::kNumCfMetrics; ++m) {
             rec->sgdEpochs[m] = engines[m]->lastIterations();
             rec->coldStarts[m] = engines[m]->lastColdStart();
+            rec->foldInSolves[m] = engines[m]->lastFoldInSolves();
         }
     }
 }

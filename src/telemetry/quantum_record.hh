@@ -228,6 +228,9 @@ struct QuantumRecord
     /** Engines whose reconstruction cold-started this quantum (random
      *  and Jacobi-SVD initialization instead of the cached factors). */
     std::array<bool, kNumCfMetrics> coldStarts{};
+    /** Rows each reconstruction re-solved by ridge fold-in (churn-reset
+     *  rows before SGD plus every sampled row after it). */
+    std::array<std::size_t, kNumCfMetrics> foldInSolves{};
 
     // --- phase timers, seconds (indexed by Phase) ---------------------
     std::array<double, kNumPhases> phaseSec{};

@@ -408,6 +408,11 @@ parseRecord(std::string_view line)
                  ++m)
                 rec.coldStarts[m] = (*a)[m].asBool();
         }
+        if (const JsonArray *a = field(*w, "fold_ins").asArray()) {
+            for (std::size_t m = 0; m < a->size() && m < kNumCfMetrics;
+                 ++m)
+                rec.foldInSolves[m] = asIndex((*a)[m]);
+        }
     }
 
     if (const JsonObject *ph = field(*top, "phase_ms").asObject()) {

@@ -313,7 +313,8 @@ JsonlSink::toJson(const QuantumRecord &rec)
     // zeros and emit no group.
     bool worked = false;
     for (std::size_t m = 0; m < kNumCfMetrics; ++m)
-        worked = worked || rec.sgdEpochs[m] > 0 || rec.coldStarts[m];
+        worked = worked || rec.sgdEpochs[m] > 0 || rec.coldStarts[m] ||
+                 rec.foldInSolves[m] > 0;
     if (worked) {
         js += ",\"work\":{\"sgd_epochs\":[";
         for (std::size_t m = 0; m < kNumCfMetrics; ++m) {
@@ -326,6 +327,12 @@ JsonlSink::toJson(const QuantumRecord &rec)
             if (m)
                 js += ',';
             js += boolName(rec.coldStarts[m]);
+        }
+        js += "],\"fold_ins\":[";
+        for (std::size_t m = 0; m < kNumCfMetrics; ++m) {
+            if (m)
+                js += ',';
+            appendNumber(js, rec.foldInSolves[m]);
         }
         js += "]}";
     }

@@ -2,10 +2,10 @@
  * @file
  * Tests for the cross-quantum warm-start path of the reconstruction:
  * factors returned by one reconstruct() feed the next, the engine
- * caches them, resets only a churned row and invalidates them on
- * request, the arena-fed predictInto() matches predict() and reuses
- * buffers, and the subsampled convergence check does not cost
- * accuracy.
+ * caches them, resets only a churned row, starts that row from its
+ * fold-in and invalidates them on request, the arena-fed
+ * predictInto() matches predict() and reuses buffers, and the
+ * subsampled convergence check does not cost accuracy.
  */
 
 #include <gtest/gtest.h>
@@ -158,6 +158,83 @@ TEST(WarmStartTest, ClearJobResetsOnlyTheChurnedRow)
     engine.predict();
     EXPECT_FALSE(engine.lastColdStart());
     EXPECT_LT(engine.lastIterations(), cold_iters);
+}
+
+/**
+ * An engine whose warm factors have settled (the second, warm run
+ * re-fits the cold run's stopping point; a third would take one
+ * epoch), then one churn: job 0 was cleared and its replacement has
+ * three samples, so the next predict() finds job 0's latent row
+ * (row 10) all zero.
+ */
+CfEngine
+churnedEngine(const Matrix &training)
+{
+    CfEngine engine(training, 2, 16);
+    engine.options().rank = 6;
+    engine.observe(0, 1, training(1, 1));
+    engine.observe(1, 4, training(3, 4));
+    engine.predict();
+    engine.predict();
+    engine.clearJob(0);
+    engine.observe(0, 2, training(6, 2));
+    engine.observe(0, 7, training(6, 7));
+    engine.observe(0, 13, training(6, 13));
+    return engine;
+}
+
+TEST(WarmStartTest, ChurnedRowStartsFromItsFoldIn)
+{
+    Rng rng(67);
+    const Matrix training = lowRankMatrix(10, 16, 3, rng);
+    const std::size_t churned = 10;
+    const std::size_t cols[] = {2, 7, 13};
+
+    // No epoch runs, so P keeps the warm bits and the churned row's q
+    // is exactly what the reconstruction starts SGD from.
+    CfEngine engine = churnedEngine(training);
+    const std::vector<double> warm_p = engine.factors().p;
+    engine.options().maxIterations = 0;
+    engine.predict();
+    EXPECT_FALSE(engine.lastColdStart());
+    EXPECT_EQ(engine.lastIterations(), 0u);
+    const SgdFactors &f = engine.factors();
+    ASSERT_EQ(f.p, warm_p);
+
+    // The ridge solve (P_o^T P_o + lambda I) q = P_o^T y against the
+    // warm P, with y the row's samples over their mean magnitude.
+    double scale = 0.0;
+    for (const std::size_t c : cols)
+        scale += std::abs(training(6, c));
+    scale /= 3.0;
+    Matrix normal(f.rank, f.rank);
+    std::vector<double> rhs(f.rank, 0.0);
+    for (const std::size_t c : cols) {
+        const double *pc = f.pRow(c);
+        for (std::size_t i = 0; i < f.rank; ++i) {
+            rhs[i] += pc[i] * training(6, c) / scale;
+            for (std::size_t j = 0; j < f.rank; ++j)
+                normal(i, j) += pc[i] * pc[j];
+        }
+    }
+    for (std::size_t i = 0; i < f.rank; ++i)
+        normal(i, i) += engine.options().regularization;
+    const std::vector<double> expected = solveLinearSystem(normal, rhs);
+    const double *q = f.qRow(churned);
+    for (std::size_t k = 0; k < f.rank; ++k)
+        EXPECT_NEAR(q[k], expected[k], 1e-9) << "factor " << k;
+    for (std::size_t k = f.rank; k < f.stride; ++k)
+        EXPECT_EQ(q[k], 0.0) << "padding lane " << k;
+    // One solve before SGD (the churned row) and one after it per
+    // sampled row (10 training rows plus both live rows).
+    EXPECT_EQ(engine.lastFoldInSolves(), 1u + 12u);
+
+    // With the default epoch cap SGD starts next to its fixed point.
+    // Started from the zeroed row instead, this fixture ran 29 epochs.
+    CfEngine shipped = churnedEngine(training);
+    shipped.predict();
+    EXPECT_EQ(shipped.lastIterations(), 1u);
+    EXPECT_EQ(shipped.lastFoldInSolves(), 1u + 12u);
 }
 
 TEST(WarmStartTest, WarmStartCanBeDisabled)

@@ -93,14 +93,16 @@ TEST(TraceDiffTest, FloatFieldsCompareExactly)
 TEST(TraceDiffTest, WorkCountersAreStructural)
 {
     // The reconstruction's work is deterministic given the inputs: an
-    // extra epoch or a cold start where the reference warm-started
-    // is a replay mismatch even when every decision agrees.
+    // extra epoch, a cold start where the reference warm-started or
+    // an extra fold-in solve is a replay mismatch even when every
+    // decision agrees.
     const auto a = makeTrace(3);
     auto b = makeTrace(3);
     b[1].sgdEpochs[1] = 4;
     b[2].coldStarts[0] = true;
+    b[2].foldInSolves[2] = 1;
     const TraceDiff diff = diffDecisionTraces(a, b);
-    ASSERT_EQ(diff.mismatches.size(), 2u);
+    ASSERT_EQ(diff.mismatches.size(), 3u);
     EXPECT_EQ(diff.mismatches[0].slice, 1u);
     EXPECT_EQ(diff.mismatches[0].field, "work.sgd_epochs");
     EXPECT_EQ(diff.mismatches[0].lhs, "[0,0,0]");
@@ -108,6 +110,9 @@ TEST(TraceDiffTest, WorkCountersAreStructural)
     EXPECT_EQ(diff.mismatches[1].slice, 2u);
     EXPECT_EQ(diff.mismatches[1].field, "work.cold");
     EXPECT_EQ(diff.mismatches[1].rhs, "[1,0,0]");
+    EXPECT_EQ(diff.mismatches[2].slice, 2u);
+    EXPECT_EQ(diff.mismatches[2].field, "work.fold_ins");
+    EXPECT_EQ(diff.mismatches[2].rhs, "[0,0,1]");
 }
 
 TEST(TraceDiffTest, VictimListsAreStructural)

@@ -247,7 +247,9 @@ TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
 {
     // The churn gate: onJobChurn clears a slot's rows and zeroes its
     // latent row, and the next decision re-searches on warm-started
-    // reconstructions. Every other measured quantum also drops all
+    // reconstructions that first fold-in solve that row, with the
+    // solver's scratch from the quantum arena. Every other measured
+    // quantum also drops all
     // three engines' factors first, so that decision cold-starts
     // every reconstruction — Jacobi-SVD initialization included. The
     // cold start's buffers come from the quantum arena and the

@@ -58,6 +58,7 @@ fullRecord()
     rec.gmeanBips = 5.625;
     rec.sgdEpochs = {14, 3, 27};
     rec.coldStarts = {true, false, true};
+    rec.foldInSolves = {19, 18, 4};
     for (std::size_t p = 0; p < kNumPhases; ++p)
         rec.phaseSec[p] = 0.001 * static_cast<double>(p + 1);
     return rec;
@@ -202,6 +203,7 @@ TEST(TraceRoundTripTest, JsonPreservesEveryField)
     EXPECT_DOUBLE_EQ(back.gmeanBips, rec.gmeanBips);
     EXPECT_EQ(back.sgdEpochs, rec.sgdEpochs);
     EXPECT_EQ(back.coldStarts, rec.coldStarts);
+    EXPECT_EQ(back.foldInSolves, rec.foldInSolves);
     for (std::size_t p = 0; p < kNumPhases; ++p)
         EXPECT_NEAR(back.phaseSec[p], rec.phaseSec[p], 1e-12) << p;
 }
@@ -213,11 +215,13 @@ TEST(TraceRoundTripTest, WorkGroupOnlyWhenSomethingWasReconstructed)
     QuantumRecord idle = fullRecord();
     idle.sgdEpochs = {};
     idle.coldStarts = {};
+    idle.foldInSolves = {};
     const std::string idle_json = JsonlSink::toJson(idle);
     EXPECT_EQ(idle_json.find("\"work\""), std::string::npos);
     const QuantumRecord idle_back = parseRecord(idle_json);
     EXPECT_EQ(idle_back.sgdEpochs, idle.sgdEpochs);
     EXPECT_EQ(idle_back.coldStarts, idle.coldStarts);
+    EXPECT_EQ(idle_back.foldInSolves, idle.foldInSolves);
 
     // A cold start is work even if no epoch ran (an empty matrix).
     QuantumRecord cold = idle;
