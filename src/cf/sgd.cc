@@ -642,7 +642,6 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
             }
             stats.foldInSolves += fold_in.solves();
         }
-        stats.trainRmse = rmse(samples, total, q, p, stride);
     }
 
     out.resize(rows - first_row, cols);
@@ -676,7 +675,14 @@ reconstruct(const RatingMatrix &ratings, const SgdOptions &options,
         reconstructInto(ratings, options, row_context, result.factors,
                         result.reconstructed, 0, arena);
     result.iterations = stats.iterations;
-    result.trainRmse = stats.trainRmse;
+    // The full-sample RMSE is a report, not an input to any decision:
+    // computed here, off the per-quantum path.
+    const TrainingSet set =
+        gatherSamples(ratings, options.logTransform, arena);
+    result.trainRmse = rmse(set.samples, set.count,
+                            result.factors.q.data(),
+                            result.factors.p.data(),
+                            result.factors.stride);
     return result;
 }
 

@@ -216,7 +216,6 @@ SgdResult reconstruct(const RatingMatrix &ratings,
 struct SgdRunStats
 {
     std::size_t iterations = 0;
-    double trainRmse = 0.0;  //!< RMSE on observed (normalized) cells
     /** The factors were (re)initialized instead of warm-started. */
     bool coldStart = false;
     /** Rows re-solved by the ridge fold-in: churn-reset rows before

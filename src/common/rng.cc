@@ -79,15 +79,15 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
-double
-Rng::lognormalMeanCv(double mean, double cv)
+LognormalParams::LognormalParams(double mean_value, double cv)
+    : mean(mean_value), degenerate(cv == 0.0)
 {
     CS_ASSERT(mean > 0.0 && cv >= 0.0, "invalid lognormal parameters");
-    if (cv == 0.0)
-        return mean;
+    if (degenerate)
+        return;
     const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * normal());
+    mu = std::log(mean) - 0.5 * sigma2;
+    sigma = std::sqrt(sigma2);
 }
 
 double

@@ -15,10 +15,27 @@
 #define CUTTLESYS_COMMON_RNG_HH
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 namespace cuttlesys {
+
+/**
+ * A lognormal distribution given by the mean and coefficient of
+ * variation of its samples, converted once to the underlying normal's
+ * mu and sigma so that repeated draws (one per request in the queue
+ * simulator) skip the two logs and the square root.
+ */
+struct LognormalParams
+{
+    LognormalParams(double mean, double cv);
+
+    double mean;            //!< every sample when degenerate
+    double mu = 0.0;        //!< mean of the underlying normal
+    double sigma = 0.0;     //!< stddev of the underlying normal
+    bool degenerate;        //!< cv == 0: no draw, the mean itself
+};
 
 /**
  * xoshiro256** pseudo-random generator with distribution helpers.
@@ -80,7 +97,19 @@ class Rng
      * variation of the *resulting* distribution (more convenient for
      * service-time models than mu/sigma of the underlying normal).
      */
-    double lognormalMeanCv(double mean, double cv);
+    double lognormalMeanCv(double mean, double cv)
+    {
+        return lognormal(LognormalParams(mean, cv));
+    }
+
+    /** Lognormal sample with precomputed parameters. */
+    double
+    lognormal(const LognormalParams &params)
+    {
+        if (params.degenerate)
+            return params.mean;
+        return std::exp(params.mu + params.sigma * normal());
+    }
 
     /** Exponential sample with the given rate (events per unit time). */
     double exponential(double rate);

@@ -20,12 +20,39 @@ namespace {
  */
 constexpr std::size_t kHeapSlack = 64 / sizeof(std::pair<double, double>);
 
+/**
+ * Replace the top of the std::greater min-heap @p heap with @p value
+ * and sift it down: one pass where pop_heap + push_heap take two. The
+ * layout may differ from theirs, but every pop still yields the least
+ * (completion, arrival) pair, so the event order is unchanged.
+ */
+void
+replaceTop(std::vector<std::pair<double, double>> &heap,
+           std::pair<double, double> value)
+{
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    while (true) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < value))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = value;
+}
+
 } // namespace
 
 LcQueueSim::LcQueueSim(AppProfile profile, std::size_t num_servers,
                        double ips_per_core, std::uint64_t seed)
     : profile_(std::move(profile)), numServers_(num_servers),
-      ips_(ips_per_core), rng_(seed)
+      ips_(ips_per_core), rng_(seed),
+      work_(profile_.requestInstructions(), profile_.requestCv)
 {
     CS_ASSERT(numServers_ > 0, "LC service needs at least one core");
     CS_ASSERT(ips_ > 0.0, "service rate must be positive");
@@ -43,6 +70,8 @@ LcQueueSim::reset(const AppProfile &profile, std::size_t num_servers,
     ips_ = ips_per_core;
     qps_ = 0.0;
     rng_ = Rng(seed);
+    work_ = LognormalParams(profile_.requestInstructions(),
+                            profile_.requestCv);
     now_ = 0.0;
     nextArrival_ = -1.0;
     pending_.clear();
@@ -123,6 +152,12 @@ LcQueueSim::dispatch()
         std::push_heap(inService_.begin(), inService_.end(),
                        std::greater<>());
     }
+    compactPending();
+}
+
+void
+LcQueueSim::compactPending()
+{
     if (pendingHead_ == pending_.size()) {
         // Fully drained: recycle the buffer (capacity is kept).
         pending_.clear();
@@ -172,20 +207,37 @@ LcQueueSim::run(double duration)
             break;
 
         if (kind == Kind::Arrival) {
-            Pending req;
-            req.arrival = now_;
-            req.instructions = rng_.lognormalMeanCv(
-                profile_.requestInstructions(), profile_.requestCv);
-            pending_.push_back(req);
-            dispatch();
+            const double instructions = rng_.lognormal(work_);
+            if (backlog() == 0 && inService_.size() < numServers_) {
+                // An idle core and nobody ahead: what dispatch()
+                // would do with this request, minus the FIFO trip.
+                inService_.emplace_back(now_ + instructions / ips_,
+                                        now_);
+                std::push_heap(inService_.begin(), inService_.end(),
+                               std::greater<>());
+            } else {
+                pending_.push_back({now_, instructions});
+                dispatch();
+            }
             scheduleNextArrival();
         } else {
-            std::pop_heap(inService_.begin(), inService_.end(),
-                          std::greater<>());
-            const auto [completion, arrival] = inService_.back();
-            inService_.pop_back();
+            const auto [completion, arrival] = inService_.front();
             window_.push_back(completion - arrival);
-            dispatch();
+            if (backlog() > 0 && inService_.size() <= numServers_) {
+                // The freed core takes the FIFO head at once: it
+                // replaces the finished request in the heap. (A pool
+                // shrunk below its busy count frees no core.)
+                const Pending req = pending_[pendingHead_];
+                ++pendingHead_;
+                replaceTop(inService_,
+                           {now_ + req.instructions / ips_,
+                            req.arrival});
+                compactPending();
+            } else {
+                std::pop_heap(inService_.begin(), inService_.end(),
+                              std::greater<>());
+                inService_.pop_back();
+            }
         }
     }
 }
@@ -238,12 +290,18 @@ std::vector<LcQueueSim>
 oneShotSims(std::size_t count, const AppProfile &app, std::size_t servers,
             double max_qps, double max_duration)
 {
+    // The window's share of reserveFor()'s rule; the service heap is
+    // reserved for the server count on construction.
+    const std::size_t window =
+        max_qps > 0.0
+            ? 2 * (static_cast<std::size_t>(max_qps * max_duration) + 64)
+            : 0;
     std::vector<LcQueueSim> sims;
     sims.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
         // Rate and seed are placeholders: oneShotTail() resets both.
         sims.emplace_back(app, servers, 1.0, 0);
-        sims.back().reserveFor(max_qps, max_duration);
+        sims.back().window_.reserve(window);
     }
     return sims;
 }
@@ -253,12 +311,28 @@ oneShotTail(LcQueueSim &sim, const AppProfile &app, std::size_t servers,
             double ips, std::uint64_t seed, double qps, double warmup,
             double measure, double empty_value)
 {
+    CS_ASSERT(qps >= 0.0, "negative load");
+    CS_ASSERT(warmup >= 0.0 && measure >= 0.0, "negative run duration");
     sim.reset(app, servers, ips, seed);
-    sim.setLoadQps(qps);
-    sim.run(warmup);
-    sim.clearWindow();
-    sim.run(measure);
-    if (sim.completedInWindow() == 0)
+    if (qps == 0.0)
+        return empty_value;
+    // Every server free since time 0; the run ends where run(warmup)
+    // then run(measure) would.
+    auto &free_at = sim.inService_;
+    free_at.assign(servers, {0.0, 0.0});
+    const double end = warmup + measure;
+    Rng &rng = sim.rng_;
+    for (double a = rng.exponential(qps); a < end;
+         a += rng.exponential(qps)) {
+        const double instructions = rng.lognormal(sim.work_);
+        const double start = std::max(a, free_at.front().first);
+        const double completion = start + instructions / ips;
+        replaceTop(free_at, {completion, a});
+        if (completion >= warmup && completion < end)
+            sim.window_.push_back(completion - a);
+    }
+    free_at.clear();
+    if (sim.window_.empty())
         return empty_value;
     return sim.consumeTailLatency(99.0);
 }

@@ -55,13 +55,6 @@ class alignas(64) LcQueueSim
     void reset(const AppProfile &profile, std::size_t num_servers,
                double ips_per_core, std::uint64_t seed);
 
-    /**
-     * Size the event buffers for a run() of @p duration seconds at
-     * @p qps, so that such a run does not reallocate. run() applies
-     * the same rule on entry.
-     */
-    void reserveFor(double qps, double duration);
-
     /** Change the offered load (takes effect immediately). */
     void setLoadQps(double qps);
 
@@ -125,8 +118,32 @@ class alignas(64) LcQueueSim
         double instructions;  //!< work, instructions
     };
 
+    friend std::vector<LcQueueSim>
+    oneShotSims(std::size_t count, const AppProfile &app,
+                std::size_t servers, double max_qps,
+                double max_duration);
+    friend double oneShotTail(LcQueueSim &sim, const AppProfile &app,
+                              std::size_t servers, double ips,
+                              std::uint64_t seed, double qps,
+                              double warmup, double measure,
+                              double empty_value);
+
+    /**
+     * Size the event buffers for a run() of @p duration seconds at
+     * @p qps, so that such a run does not reallocate; run() calls it
+     * on entry.
+     */
+    void reserveFor(double qps, double duration);
+
     /** Start service for queued requests while cores are free. */
     void dispatch();
+
+    /**
+     * After requests were taken from the FIFO's head: recycle a
+     * drained buffer, or shift a mostly consumed prefix out so the
+     * buffer stays bounded under sustained overload.
+     */
+    void compactPending();
 
     /** Draw the next interarrival gap and schedule it. */
     void scheduleNextArrival();
@@ -136,6 +153,7 @@ class alignas(64) LcQueueSim
     double ips_;
     double qps_ = 0.0;
     Rng rng_;
+    LognormalParams work_; //!< per-request work, from profile_
 
     double now_ = 0.0;
     double nextArrival_ = -1.0; //!< < 0 means "no arrival scheduled"
@@ -156,6 +174,7 @@ class alignas(64) LcQueueSim
      * (completion time, arrival time) for busy cores: the operations
      * std::priority_queue performs, on a vector that is reserved for
      * the server count up front and keeps its capacity over reset().
+     * oneShotTail() keeps its per-server free times here.
      */
     std::vector<std::pair<double, double>> inService_;
 
@@ -167,11 +186,13 @@ class alignas(64) LcQueueSim
 };
 
 /**
- * @p count simulators for oneShotTail(), each with its event buffers
- * reserved for runs of up to @p max_qps over @p max_duration seconds
- * on @p servers cores. A parallel grid builds one per pool slot on
- * the calling thread: the workers then never allocate the buffers,
- * so no worker's malloc arena is left holding them after the grid.
+ * @p count simulators for oneShotTail(), each with its measurement
+ * window reserved for runs of up to @p max_qps over @p max_duration
+ * seconds and its service heap for @p servers cores: the two buffers
+ * oneShotTail() touches (it keeps no FIFO). A parallel grid builds
+ * one per pool slot on the calling thread: the workers then never
+ * allocate the buffers, so no worker's malloc arena is left holding
+ * them after the grid.
  */
 std::vector<LcQueueSim> oneShotSims(std::size_t count,
                                     const AppProfile &app,
@@ -179,8 +200,26 @@ std::vector<LcQueueSim> oneShotSims(std::size_t count,
                                     double max_duration);
 
 /**
- * One isolated measurement: reset @p sim to a fresh service, offer
- * @p qps for @p warmup seconds, then measure for @p measure seconds.
+ * One isolated measurement: a fresh service of @p servers cores at
+ * @p ips each, offered @p qps for @p warmup seconds, then measured
+ * for @p measure seconds.
+ *
+ * The result is bitwise that of reset() -> setLoadQps() ->
+ * run(warmup) -> clearWindow() -> run(measure) ->
+ * consumeTailLatency(), but computed without the event loop. With a
+ * fixed rate, server count and load, an FCFS k-server queue is the
+ * Kiefer-Wolfowitz recursion over arrivals: request k starts at
+ * max(a_k, earliest server-free time) and frees that server at start
+ * + work / ips. The recursion draws the same RNG stream (first gap,
+ * then work and next gap per arrival), adds the same operands in the
+ * same order, and keeps a latency when warmup <= completion <
+ * warmup + measure: exactly the completions the event loop records
+ * in the measured window. Their order differs, and the p99 depends
+ * on the multiset only. Mid-run rate or server changes and busy-time
+ * accounting need the event loop, so run() keeps it.
+ *
+ * @p sim is scratch: it is reset() to the service, and afterwards
+ * holds no requests and an empty window.
  * @return the measured window's p99 (seconds), or @p empty_value when
  *         nothing completed in it.
  */

@@ -35,7 +35,7 @@ perturbDim(std::uint16_t value, double r, std::size_t num_configs,
         }
     }
     v = std::clamp(v, 0.0, top);
-    return static_cast<std::uint16_t>(std::lround(v));
+    return static_cast<std::uint16_t>(roundNonNegative(v));
 }
 
 } // namespace detail

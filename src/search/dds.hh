@@ -132,6 +132,19 @@ void parallelDds(const PreparedObjective &prep,
 namespace detail {
 
 /**
+ * std::lround(v) for 0 <= v < 2^52, without the libm call: the cast
+ * truncates to floor(v), and v - floor(v) is exact in that range, so
+ * the comparison rounds halves away from zero exactly as lround does
+ * (0.49999999999999994 stays 0, where floor(v + 0.5) gives 1).
+ */
+inline long
+roundNonNegative(double v)
+{
+    const auto i = static_cast<long>(v);
+    return i + (v - static_cast<double>(i) >= 0.5 ? 1 : 0);
+}
+
+/**
  * Perturb one dimension by r * #confs * N(0,1), reflecting
  * out-of-range values about the true domain bounds 0 and
  * num_configs - 1 (Algorithm 2 lines 13-15). Exposed for the

@@ -7,9 +7,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "apps/gallery.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "lcsim/queue_sim.hh"
 
 namespace cuttlesys {
@@ -215,6 +217,110 @@ TEST(QueueSimTest, TimeAdvancesExactly)
     for (int i = 0; i < 10; ++i)
         sim.run(0.1);
     EXPECT_NEAR(sim.now(), 1.0, 1e-9);
+}
+
+/** The event-loop sequence oneShotTail() stands for, run on @p sim. */
+double
+eventLoopTail(LcQueueSim &sim, const AppProfile &app,
+              std::size_t servers, double ips, std::uint64_t seed,
+              double qps, double warmup, double measure,
+              double empty_value)
+{
+    sim.reset(app, servers, ips, seed);
+    sim.setLoadQps(qps);
+    sim.run(warmup);
+    sim.clearWindow();
+    sim.run(measure);
+    if (sim.completedInWindow() == 0)
+        return empty_value;
+    return sim.consumeTailLatency(99.0);
+}
+
+TEST(QueueSimTest, OneShotRecursionMatchesEventLoopBitwise)
+{
+    const std::size_t servers = 8;
+    const double warmup = 0.05;
+    const double measure = 0.1;
+    const double empty = -1.0;
+    std::vector<LcQueueSim> sims =
+        oneShotSims(1, lcApp(), servers, 20000.0, warmup + measure);
+    LcQueueSim loop_sim(lcApp(), servers, 1.0, 0);
+    std::size_t cases = 0;
+    for (const AppProfile &app : tailbenchGallery()) {
+        // Capacity at a 1 ms mean service time; each load is then
+        // served at rates that put utilization from 0.3 to 2.0.
+        const double capacity = static_cast<double>(servers) / 1e-3;
+        for (double fraction : {0.05, 0.4, 0.8, 1.2}) {
+            const double qps = fraction * capacity;
+            for (double rho : {0.3, 0.7, 0.95, 1.3, 2.0}) {
+                const double ips = qps * app.requestInstructions() /
+                    (static_cast<double>(servers) * rho);
+                for (std::uint64_t seed : {11u, 12u}) {
+                    const double recursion =
+                        oneShotTail(sims[0], app, servers, ips, seed,
+                                    qps, warmup, measure, empty);
+                    const double loop =
+                        eventLoopTail(loop_sim, app, servers, ips, seed,
+                                      qps, warmup, measure, empty);
+                    ASSERT_NE(recursion, empty);
+                    ASSERT_EQ(bits(recursion), bits(loop))
+                        << app.name << " at " << qps << " qps, rho "
+                        << rho << ", seed " << seed;
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 200u);
+
+    // Edge cases: no load, deterministic work, no warm-up, one
+    // server, and a window nothing completes in. The last two put the
+    // first request's completion exactly on the window's bounds: with
+    // fixed work and one server at 10 qps, it is a0 + work / ips for
+    // the first gap a0 of the seed's stream, and the next request
+    // arrives long after.
+    const AppProfile app = lcApp();
+    const double ips = ipsForMeanService(app, 1e-3);
+    AppProfile fixed_work = app;
+    fixed_work.requestCv = 0.0;
+    Rng first_gap(7);
+    const double first_done = first_gap.exponential(10.0) +
+        fixed_work.requestInstructions() / ips;
+    struct Edge
+    {
+        const char *name;
+        AppProfile app;
+        std::size_t servers;
+        double ips, qps, warmup, measure;
+        bool completes;
+    };
+    const Edge edges[] = {
+        {"no load", app, servers, ips, 0.0, warmup, measure, false},
+        {"cv 0", fixed_work, servers, ips, 6000.0, warmup, measure,
+         true},
+        {"cv 0 saturated", fixed_work, 2, ips, 3000.0, warmup,
+         measure, true},
+        {"no warm-up", app, servers, ips, 6000.0, 0.0, measure, true},
+        {"one server", app, 1, ips, 900.0, warmup, measure, true},
+        {"one server saturated", app, 1, ips, 2000.0, warmup, measure,
+         true},
+        {"empty window", app, 1, ips / 1e4, 50.0, warmup, measure,
+         false},
+        {"completion at the end", fixed_work, 1, ips, 10.0, 0.0,
+         first_done, false},
+        {"completion at the start", fixed_work, 1, ips, 10.0,
+         first_done, 5e-4, true},
+    };
+    for (const Edge &e : edges) {
+        const double recursion =
+            oneShotTail(sims[0], e.app, e.servers, e.ips, 7, e.qps,
+                        e.warmup, e.measure, empty);
+        const double loop =
+            eventLoopTail(loop_sim, e.app, e.servers, e.ips, 7, e.qps,
+                          e.warmup, e.measure, empty);
+        EXPECT_EQ(recursion != empty, e.completes) << e.name;
+        EXPECT_EQ(bits(recursion), bits(loop)) << e.name;
+    }
 }
 
 TEST(QueueSimTest, InvalidConstructionPanics)

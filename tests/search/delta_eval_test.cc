@@ -172,6 +172,28 @@ TEST(DdsDeltaTest, ParallelSearchIdenticalWithAndWithoutDelta)
     }
 }
 
+TEST(PerturbDimTest, RoundNonNegativeMatchesLround)
+{
+    // A dense grid over the configuration domain and past it, every
+    // exact .5 tie, the neighbours of each tie, and the largest double
+    // below 0.5 (which floor(v + 0.5) would round up).
+    std::vector<double> values = {0.0, 0.49999999999999994, 0.5,
+                                  std::nextafter(0.5, 1.0),
+                                  4503599627370495.5};
+    for (int i = 0; i <= 400000; ++i)
+        values.push_back(static_cast<double>(i) * 1e-3);
+    for (int i = 0; i < 2 * static_cast<int>(kNumJobConfigs) + 8; ++i) {
+        const double tie = static_cast<double>(i) + 0.5;
+        values.push_back(tie);
+        values.push_back(std::nextafter(tie, 0.0));
+        values.push_back(std::nextafter(tie, 1e9));
+    }
+    for (double v : values) {
+        ASSERT_EQ(detail::roundNonNegative(v), std::lround(v))
+            << "v = " << v;
+    }
+}
+
 TEST(PerturbDimTest, StaysInDomain)
 {
     Rng rng(41);
