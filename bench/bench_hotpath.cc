@@ -20,9 +20,8 @@
  *    quantum's prepared tables. The runtime runs the two inside one
  *    search phase, so together they are what the 1.3 ms DDS budget
  *    has to cover,
- *  - cold SGD, serial and parallel(4): one reconstruction from
- *    scratch of a runtime-shaped throughput matrix, the paper's
- *    Hogwild-vs-serial comparison.
+ *  - cold SGD: one reconstruction from scratch of a runtime-shaped
+ *    throughput matrix, what the first quantum pays per metric.
  *
  * Three more rows audit the loop itself:
  *  - pool region: the median of back-to-back empty parallelFor(8)
@@ -52,6 +51,7 @@
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "core/batch_policy.hh"
+#include "core/cuttlesys.hh"
 #include "search/dds.hh"
 #include "telemetry/quantum_trace.hh"
 
@@ -103,14 +103,13 @@ struct HotPath
     double reconstructMs = 0.0;
 
     HotPath()
-        : bips(trainingTables().bips, kLiveJobs, kNumJobConfigs),
-          power(trainingTables().power, kLiveJobs, kNumJobConfigs),
-          latency(trainingTables().latency, 1, kNumJobConfigs)
+        : bips(trainingTables().bips, kLiveJobs, kNumJobConfigs,
+               CuttleSysOptions().sgdBips),
+          power(trainingTables().power, kLiveJobs, kNumJobConfigs,
+                CuttleSysOptions().sgdPower),
+          latency(trainingTables().latency, 1, kNumJobConfigs,
+                  CuttleSysOptions().sgdLatency)
     {
-        bips.options().threads = 4;
-        power.options().threads = 4;
-        latency.options().threads = 2;
-        latency.options().logTransform = true;
         dds.threads = 8;
 
         // Two profiling samples per live row, like the runtime's
@@ -286,8 +285,6 @@ Row
 churnReconstruct()
 {
     HotPath path;
-    for (CfEngine *e : {&path.bips, &path.power, &path.latency})
-        e->options().svdWarmStart = true;
     // Warm-up, one churn included, so the timed churn quanta reuse
     // warm buffers.
     for (std::size_t q = 0; q < 4; ++q)
@@ -311,10 +308,10 @@ churnReconstruct()
 /**
  * Cold reconstructions of the runtime's throughput matrix (the
  * training rows plus kLiveJobs live rows of two samples each) with
- * @p threads SGD threads, no warm start.
+ * the runtime's throughput options, no warm start.
  */
 Row
-coldSgd(std::size_t threads)
+coldSgd()
 {
     const Matrix &train = trainingTables().bips;
     RatingMatrix ratings(train.rows() + kLiveJobs, kNumJobConfigs);
@@ -327,8 +324,7 @@ coldSgd(std::size_t threads)
         for (auto c : rng.sampleWithoutReplacement(kNumJobConfigs, 2))
             ratings.set(r, c, rng.uniform(0.5, 8.0));
     }
-    SgdOptions options;
-    options.threads = threads;
+    const SgdOptions options = CuttleSysOptions().sgdBips;
     reconstruct(ratings, options); // warm-up
     std::vector<double> ms;
     for (std::size_t q = 0; q < kQuanta; ++q) {
@@ -342,7 +338,8 @@ coldSgd(std::size_t threads)
 /**
  * Median wall us of an empty parallelFor(8) on the global pool, run
  * back to back: what a fork-join region costs before any work, the
- * floor under each of DDS's 40 rounds and SGD's sub-epochs.
+ * floor under each of DDS's 40 rounds and the per-metric
+ * reconstruction region.
  */
 double
 poolRegionUs()
@@ -510,8 +507,7 @@ main(int argc, char **argv)
 
     const SteadyStats steady = steadyQuanta();
     const Row churn = churnReconstruct();
-    const Row sgd_serial = coldSgd(1);
-    const Row sgd_parallel = coldSgd(4);
+    const Row sgd_cold = coldSgd();
     const double region_us = poolRegionUs();
     const TelemetryStats telem = telemetryOverhead();
     const std::uint64_t allocs = steadyStateAllocs();
@@ -529,9 +525,7 @@ main(int argc, char **argv)
              "Table II DDS, shared with the search");
     printRow("parallel DDS, 8 workers", steady.dds, kDdsBudgetMs,
              "Table II DDS");
-    printRow("cold SGD, serial", sgd_serial, kSgdBudgetMs,
-             "Table II SGD, one matrix");
-    printRow("cold SGD, parallel(4)", sgd_parallel, kSgdBudgetMs,
+    printRow("cold SGD", sgd_cold, kSgdBudgetMs,
              "Table II SGD, one matrix");
     std::printf("mean search objective: %.4f\n", steady.meanObjective);
     std::printf("empty parallelFor(8) round trip: median %.2f us\n",
@@ -553,8 +547,7 @@ main(int argc, char **argv)
         writeRow(f, "churn_reconstruct_ms", churn);
         writeRow(f, "seed_ms", steady.seed);
         writeRow(f, "dds_ms", steady.dds);
-        writeRow(f, "cold_sgd_serial_ms", sgd_serial);
-        writeRow(f, "cold_sgd_parallel4_ms", sgd_parallel);
+        writeRow(f, "cold_sgd_serial_ms", sgd_cold);
         std::fprintf(f,
                      "  \"mean_objective\": %.6f,\n"
                      "  \"pool_region_us_median\": %.3f,\n"

@@ -482,13 +482,11 @@ ablSparseRows(const Preset &)
     factor_only.rowBlendThreshold = 0;
     SgdOptions raw = factor_only;
     raw.foldInRows = false;
-    SgdOptions parallel;
-    parallel.threads = 4;
     SgdOptions svd;
     svd.svdWarmStart = true;
     const std::pair<const char *, SgdOptions> variants[] = {
         {"default", {}}, {"factor_fold_in_only", factor_only},
-        {"raw_sgd", raw}, {"parallel4", parallel}, {"svd_warm_start", svd}};
+        {"raw_sgd", raw}, {"svd_warm_start", svd}};
     for (const auto &[name, options] : variants) {
         out.labels["variant"].push_back(name);
         sweepPoint(out, options, "predict_per_app");
@@ -498,8 +496,6 @@ ablSparseRows(const Preset &)
               med[1] - med[0], Bound::AtLeast, 1.0);
     out.claim("raw_sgd_unusable", "ours: blending for 2-sample rows",
               med[2] / med[0], Bound::AtLeast, 2.0);
-    out.claim("parallel_matches_serial", "Hogwild at ~1% accuracy cost",
-              std::abs(med[3] - med[0]), Bound::AtMost, 1.0);
     return out;
 }
 

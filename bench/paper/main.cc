@@ -121,8 +121,8 @@ const Experiment kExperiments[] = {
      "sample the widest and narrowest configurations", ablSamples},
     {"abl_sgd_rank", "D1: SGD latent rank",
      "rank = m*p = 108 (we default to 12)", ablSgdRank},
-    {"abl_sparse_rows", "D2/D7: sparse-row reconstruction variants",
-     "Hogwild ~3.5x faster at ~1% accuracy cost", ablSparseRows},
+    {"abl_sparse_rows", "D7: sparse-row reconstruction variants",
+     "SGD from two profiling samples per row", ablSparseRows},
 };
 
 const char *

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "common/arena.hh"
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 
 namespace cuttlesys {
 
@@ -154,11 +152,8 @@ rmse(const Sample *samples, std::size_t count, const double *q,
 }
 
 /**
- * Apply one SGD update for a sample. The parallel variant schedules
- * updates so that concurrent workers never share a factor row (see
- * the stratified epochs below), so this touches the sample's q and p
- * rows exclusively in every execution mode. Runs over the full
- * lane-padded stride; the padding stays zero.
+ * Apply one SGD update for a sample to its q and p rows. Runs over
+ * the full lane-padded stride; the padding stays zero.
  */
 inline void
 sgdUpdate(const Sample &s, double *q, double *p, std::size_t stride,
@@ -465,7 +460,6 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
     CS_ASSERT(!row_context || row_context->size() == ratings.rows(),
               "row context length mismatch");
     CS_ASSERT(options.rank > 0, "rank must be positive");
-    CS_ASSERT(options.threads >= 1, "need at least one thread");
     CS_ASSERT(first_row <= ratings.rows(),
               "first_row ", first_row, " out of ", ratings.rows());
 
@@ -532,104 +526,25 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
         const Sample *conv = convergenceSubset(
             samples, total, options.convergenceSamples, arena, conv_n);
         double prev_rmse = rmse(conv, conv_n, q, p, stride);
-        if (options.threads == 1) {
-            // Epochs permute an index array, not the samples: the
-            // sample list itself must stay row-major for the fold-in
-            // step's rowOffsets slicing.
-            std::size_t *order = arena.alloc<std::size_t>(total);
-            for (std::size_t i = 0; i < total; ++i)
-                order[i] = i;
-            for (std::size_t iter = 0; iter < options.maxIterations;
-                 ++iter) {
-                std::shuffle(order, order + total, rng);
-                for (std::size_t i = 0; i < total; ++i) {
-                    sgdUpdate(samples[order[i]], q, p, stride,
-                              options.learningRate,
-                              options.regularization);
-                }
-                ++stats.iterations;
-                const double cur = rmse(conv, conv_n, q, p, stride);
-                if (prev_rmse - cur <
-                    options.convergenceTol * std::max(prev_rmse, 1e-12))
-                    break;
-                prev_rmse = cur;
-            }
-        } else {
-            // Stratified block-parallel SGD (the DSGD schedule of
-            // Gemulla et al.): rows and columns are partitioned into
-            // T contiguous blocks each, and every epoch runs T
-            // fork-join sub-epochs in which worker t processes the
-            // stratum (row block t, col block (t + sub) mod T). The
-            // T strata of a sub-epoch are pairwise disjoint in both
-            // rows and columns, so no two concurrent updates ever
-            // touch the same factor row: the variant is race-free
-            // and, unlike lock-free Hogwild, bitwise deterministic
-            // for a fixed seed — the property the replay checker
-            // (examples/replay_check) pins for the decision loop.
-            //
-            // The strata live as one flat index array partitioned by
-            // a counting sort, which preserves the ascending sample
-            // order within each stratum.
-            const std::size_t nthreads =
-                std::min(options.threads, total);
-            auto rowBlock = [&](std::uint32_t r) {
-                return static_cast<std::size_t>(r) * nthreads / rows;
-            };
-            auto colBlock = [&](std::uint32_t c) {
-                return static_cast<std::size_t>(c) * nthreads / cols;
-            };
-            const std::size_t n_strata = nthreads * nthreads;
-            std::size_t *counts =
-                arena.allocZeroed<std::size_t>(n_strata);
+        // Epochs permute an index array, not the samples: the sample
+        // list itself must stay row-major for the fold-in step's
+        // rowOffsets slicing.
+        std::size_t *order = arena.alloc<std::size_t>(total);
+        for (std::size_t i = 0; i < total; ++i)
+            order[i] = i;
+        for (std::size_t iter = 0; iter < options.maxIterations;
+             ++iter) {
+            std::shuffle(order, order + total, rng);
             for (std::size_t i = 0; i < total; ++i) {
-                ++counts[rowBlock(samples[i].row) * nthreads +
-                         colBlock(samples[i].col)];
+                sgdUpdate(samples[order[i]], q, p, stride,
+                          options.learningRate, options.regularization);
             }
-            std::size_t *offsets =
-                arena.alloc<std::size_t>(n_strata + 1);
-            offsets[0] = 0;
-            for (std::size_t b = 0; b < n_strata; ++b)
-                offsets[b + 1] = offsets[b] + counts[b];
-            std::size_t *order = arena.alloc<std::size_t>(total);
-            std::size_t *cursor = arena.alloc<std::size_t>(n_strata);
-            std::copy(offsets, offsets + n_strata, cursor);
-            for (std::size_t i = 0; i < total; ++i) {
-                const std::size_t b =
-                    rowBlock(samples[i].row) * nthreads +
-                    colBlock(samples[i].col);
-                order[cursor[b]++] = i;
-            }
-            Rng *stratum_rngs = arena.alloc<Rng>(n_strata);
-            for (std::size_t b = 0; b < n_strata; ++b) {
-                std::construct_at(&stratum_rngs[b],
-                                  options.seed + 7919 * (b + 1));
-            }
-
-            ThreadPool &pool = ThreadPool::global();
-            for (std::size_t iter = 0; iter < options.maxIterations;
-                 ++iter) {
-                for (std::size_t sub = 0; sub < nthreads; ++sub) {
-                    pool.parallelFor(nthreads, [&](std::size_t tid) {
-                        const std::size_t cb = (tid + sub) % nthreads;
-                        const std::size_t b = tid * nthreads + cb;
-                        std::shuffle(order + offsets[b],
-                                     order + offsets[b + 1],
-                                     stratum_rngs[b]);
-                        for (std::size_t o = offsets[b];
-                             o < offsets[b + 1]; ++o) {
-                            sgdUpdate(samples[order[o]], q, p, stride,
-                                      options.learningRate,
-                                      options.regularization);
-                        }
-                    });
-                }
-                ++stats.iterations;
-                const double cur = rmse(conv, conv_n, q, p, stride);
-                if (prev_rmse - cur <
-                    options.convergenceTol * std::max(prev_rmse, 1e-12))
-                    break;
-                prev_rmse = cur;
-            }
+            ++stats.iterations;
+            const double cur = rmse(conv, conv_n, q, p, stride);
+            if (prev_rmse - cur <
+                options.convergenceTol * std::max(prev_rmse, 1e-12))
+                break;
+            prev_rmse = cur;
         }
         if (options.foldInRows) {
             // Closed-form ridge refit of each row's factors against

@@ -3,20 +3,20 @@
  * PQ-reconstruction with Stochastic Gradient Descent (Algorithm 1).
  *
  * Factorizes the sparse rating matrix R (apps x configurations) as
- * Q x P^T and fills in the missing entries from the factors. Three
+ * Q x P^T and fills in the missing entries from the factors. Two
  * fidelity knobs from the paper:
  *  - an SVD warm start for the factors (Section V constructs Q and P
  *    from the singular vectors of the observed matrix),
  *  - an iteration cap / convergence threshold trade-off
  *    (Section V: "the fewer the iterations, the lower the overhead,
- *    but the higher the prediction inaccuracy"),
- *  - a stratified block-parallel variant that trades ~1% accuracy
- *    for a multi-x speedup. The paper runs lock-free Hogwild
- *    (Section V cites [95], [96]); this implementation schedules the
- *    same per-epoch work as disjoint row/column strata instead, which
- *    keeps the speedup while staying race-free and bitwise
- *    deterministic for a fixed seed — same-seed runs must replay to
- *    identical decisions (examples/replay_check).
+ *    but the higher the prediction inaccuracy").
+ *
+ * Each run is serial SGD: the paper's lock-free Hogwild variant
+ * (Section V) is not reproduced. A warm-started run does about one
+ * epoch, so a per-epoch fork-join has nothing to split, and the
+ * runtime already runs its three reconstructions concurrently. The
+ * serial schedule is bitwise deterministic for a fixed seed, which
+ * same-seed replays rely on (examples/replay_check).
  *
  * Values are learned row-normalized (and optionally in log space,
  * which suits tail latencies that span orders of magnitude).
@@ -64,12 +64,6 @@ struct SgdOptions
      * RMSE.
      */
     std::size_t convergenceSamples = 512;
-    /**
-     * Worker threads; > 1 selects the stratified block-parallel
-     * variant, run as fork-join sub-epochs on the shared persistent
-     * ThreadPool. Deterministic for a fixed seed at any thread count.
-     */
-    std::size_t threads = 1;
     bool svdWarmStart = false;
     /**
      * After SGD, re-solve each row's latent vector by ridge
@@ -236,7 +230,7 @@ struct SgdRunStats
  *        materializes the training rows.
  * @param first_row index of the first row written to @p out.
  * @param arena scratch storage for every transient of the run (sample
- *        lists, strata tables, solver workspaces). The caller resets
+ *        lists, the epoch order, solver workspaces). The caller resets
  *        it between runs; after warm-up a steady-state call performs
  *        zero heap allocations.
  */

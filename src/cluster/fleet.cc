@@ -926,7 +926,8 @@ FleetController::stepQuantum()
     // The parallel region: nodes are fully independent (each owns its
     // sim, scheduler, and stepper), so any pool width produces the
     // same per-node state; the pool's nested-region support lets each
-    // node's own SGD/DDS parallelism run inside this loop.
+    // node's own per-metric reconstruction and DDS regions run inside
+    // this loop.
     std::vector<std::unique_ptr<ClusterNode>> &nodes = nodes_;
     ThreadPool::global().parallelFor(
         nodes.size(),

@@ -36,7 +36,7 @@ constexpr std::size_t kSpinIterations = 500;
  * The spin bound for a pool of @p threads workers: none when the
  * workers alone outnumber the hardware threads. There a spinner holds
  * a core that a thread with a claimed index is waiting for; at
- * CS_POOL_THREADS=8 on 4 vCPUs spinning made the stratified
+ * CS_POOL_THREADS=8 on 4 vCPUs spinning made the (since deleted)
  * parallel(4) SGD 8.7 -> 13.5 ms and the 8-worker DDS 1.42 -> 1.67 ms.
  * Such a pool waits as it did before spinning: straight to the
  * condition variables.

@@ -10,11 +10,11 @@
  * parallelFor(n, fn) runs fn(0) .. fn(n-1) with the *caller
  * participating*: the caller claims indices from the same atomic
  * counter the workers do, so a parallelFor issued from inside another
- * parallelFor task (nested parallelism — the runtime reconstructs
- * three matrices concurrently and each reconstruction is itself
- * parallel) always makes progress even when every pool worker is
- * busy. The caller can finish the whole region alone, so the pool is
- * deadlock-free by construction regardless of its size.
+ * parallelFor task (nested parallelism — the fleet steps nodes in
+ * parallel and each node reconstructs three matrices concurrently and
+ * runs the parallel DDS) always makes progress even when every pool
+ * worker is busy. The caller can finish the whole region alone, so
+ * the pool is deadlock-free by construction regardless of its size.
  *
  * Steady-state regions are heap-free: the callable is passed as a
  * non-owning (invoke-pointer, context) pair — the callable outlives

@@ -64,11 +64,8 @@ constexpr std::size_t kMinLatencyObsForCf = 1;
 
 CuttleSysOptions::CuttleSysOptions()
 {
-    // Three reconstruction instances run concurrently; each is itself
-    // the lock-free parallel SGD (Section V).
-    sgdBips.threads = 4;
-    sgdPower.threads = 4;
-    sgdLatency.threads = 2;
+    // Three reconstruction instances run concurrently
+    // (reconstructAll()); each is a serial SGD run.
     sgdBips.seed = 501;
     sgdPower.seed = 502;
     sgdLatency.seed = 503;
@@ -219,10 +216,8 @@ void
 CuttleSysScheduler::reconstructAll()
 {
     // Three reconstruction instances, one per metric, run in parallel
-    // on the same server (Section V). The shared pool runs them; the
-    // caller participates (work-sharing parallelFor), so the nested
-    // SGD sub-epochs inside each engine never deadlock against this
-    // outer region.
+    // on the same server (Section V). The shared pool runs them; each
+    // engine's serial SGD is a leaf of this region.
     // All three instances carve their scratch out of the shared
     // quantum arena (its bump pointer is atomic), so reconstruction
     // allocates nothing once the arena has grown to its high-water

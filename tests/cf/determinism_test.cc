@@ -1,10 +1,11 @@
 /**
  * @file
- * Reconstruction determinism across thread counts and scratch modes.
+ * Reconstruction determinism across pool threads and scratch modes.
  *
  * The replay contract (DESIGN.md) requires the SGD reconstruction to
- * produce bit-identical predictions for a fixed seed at any thread
- * count, and predict() and the arena-fed predictInto() to differ
+ * produce bit-identical predictions for a fixed seed whichever pool
+ * thread runs it, alongside other engines (as reconstructAll() runs
+ * three), and predict() and the arena-fed predictInto() to differ
  * only in where transients live, not in a single output bit.
  */
 
@@ -17,6 +18,7 @@
 #include "cf/engine.hh"
 #include "common/arena.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 
 namespace cuttlesys {
 namespace {
@@ -40,14 +42,13 @@ makeTraining()
 }
 
 /**
- * Run a three-quantum warm-started reconstruction history at the
- * given thread count and return every quantum's prediction matrix.
+ * Run a three-quantum warm-started reconstruction history and return
+ * every quantum's prediction matrix.
  */
 std::vector<Matrix>
-runHistory(std::size_t threads, bool use_arena)
+runHistory(bool use_arena)
 {
     SgdOptions options;
-    options.threads = threads;
     options.maxIterations = 40;
     CfEngine engine(makeTraining(), kJobs, kCols, options);
 
@@ -98,24 +99,20 @@ expectBitIdentical(const std::vector<Matrix> &a,
 
 TEST(Determinism, PredictionsBitIdenticalAcrossThreadCounts)
 {
-    const auto baseline = runHistory(1, false);
-    for (std::size_t threads : {2, 4, 8})
-        expectBitIdentical(runHistory(threads, false), baseline);
+    // Histories run concurrently on the pool's workers must match the
+    // one run on the calling thread alone.
+    const auto baseline = runHistory(false);
+    std::vector<std::vector<Matrix>> concurrent(4);
+    ThreadPool::global().parallelFor(
+        concurrent.size(),
+        [&](std::size_t i) { concurrent[i] = runHistory(false); });
+    for (const auto &history : concurrent)
+        expectBitIdentical(history, baseline);
 }
 
 TEST(Determinism, ArenaPathBitIdenticalToHeapPath)
 {
-    for (std::size_t threads : {1, 4}) {
-        expectBitIdentical(runHistory(threads, true),
-                           runHistory(threads, false));
-    }
-}
-
-TEST(Determinism, ArenaHistoriesAgreeAcrossThreadCounts)
-{
-    const auto baseline = runHistory(1, true);
-    for (std::size_t threads : {2, 8})
-        expectBitIdentical(runHistory(threads, true), baseline);
+    expectBitIdentical(runHistory(true), runHistory(false));
 }
 
 } // namespace

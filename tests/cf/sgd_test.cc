@@ -220,45 +220,6 @@ TEST(SgdTest, LogTransformHandlesWideDynamicRange)
     EXPECT_LT(err / n, 0.6);
 }
 
-TEST(SgdTest, ParallelMatchesSerialAccuracy)
-{
-    // The parallel variant may trade a small, bounded inaccuracy for
-    // speed (the paper's Hogwild loses ~1%, Section V; our stratified
-    // schedule reorders updates but must stay in the same band).
-    SgdOptions serial, parallel;
-    serial.rank = parallel.rank = 8;
-    parallel.threads = 4;
-    const double err_serial = holdOutError(24, 48, 4, 4, 10, serial);
-    const double err_parallel =
-        holdOutError(24, 48, 4, 4, 10, parallel);
-    EXPECT_LT(err_parallel, err_serial + 0.05);
-}
-
-TEST(SgdTest, ParallelIsBitwiseDeterministic)
-{
-    // The stratified schedule partitions each epoch into disjoint
-    // row/column strata, so two same-seed runs must agree bitwise —
-    // this is what keeps the decision loop replayable
-    // (examples/replay_check).
-    Rng rng(31);
-    const Matrix truth = lowRankMatrix(24, 48, 4, rng);
-    RatingMatrix ratings(24, 48);
-    for (std::size_t r = 0; r < 24; ++r)
-        for (std::size_t c = 0; c < 48; ++c)
-            if (rng.uniform(0.0, 1.0) < 0.6)
-                ratings.set(r, c, truth(r, c));
-    SgdOptions options;
-    options.rank = 8;
-    options.threads = 4;
-    const SgdResult a = reconstruct(ratings, options);
-    const SgdResult b = reconstruct(ratings, options);
-    ASSERT_EQ(a.iterations, b.iterations);
-    for (std::size_t r = 0; r < 24; ++r)
-        for (std::size_t c = 0; c < 48; ++c)
-            ASSERT_EQ(a.reconstructed(r, c), b.reconstructed(r, c))
-                << "cell (" << r << ", " << c << ")";
-}
-
 TEST(SgdTest, SvdWarmStartConvergesFaster)
 {
     SgdOptions cold, warm;
@@ -368,55 +329,47 @@ TEST(SgdTest, SharedFoldInFactorizationIsBitwiseThePerRowRefit)
             ratings.set(r, c, truth(r, c) * (1.0 + 2.0 * (r % 3)));
     }
 
-    for (std::size_t threads : {1u, 4u}) {
-        for (bool log_transform : {false, true}) {
-            SgdOptions options;
-            options.rank = 7;
-            options.threads = threads;
-            options.svdWarmStart = true;
-            options.logTransform = log_transform;
-            options.rowBlendThreshold = 0;
-            ScratchArena arena;
+    for (bool log_transform : {false, true}) {
+        SgdOptions options;
+        options.rank = 7;
+        options.svdWarmStart = true;
+        options.logTransform = log_transform;
+        options.rowBlendThreshold = 0;
+        ScratchArena arena;
 
-            SgdOptions sgd_only = options;
-            sgd_only.foldInRows = false;
-            SgdFactors want;
-            Matrix unused;
-            reconstructInto(ratings, sgd_only, nullptr, want, unused, 0,
-                            arena);
-            referenceFoldIn(ratings, options, want);
-            arena.reset();
+        SgdOptions sgd_only = options;
+        sgd_only.foldInRows = false;
+        SgdFactors want;
+        Matrix unused;
+        reconstructInto(ratings, sgd_only, nullptr, want, unused, 0, arena);
+        referenceFoldIn(ratings, options, want);
+        arena.reset();
 
-            SgdFactors got;
-            Matrix out;
-            reconstructInto(ratings, options, nullptr, got, out, 4,
-                            arena);
+        SgdFactors got;
+        Matrix out;
+        reconstructInto(ratings, options, nullptr, got, out, 4, arena);
 
-            SCOPED_TRACE(::testing::Message()
-                         << "threads " << threads << " log "
-                         << log_transform);
-            ASSERT_EQ(got.q.size(), want.q.size());
-            ASSERT_EQ(got.p.size(), want.p.size());
-            EXPECT_EQ(std::memcmp(got.q.data(), want.q.data(),
-                                  want.q.size() * sizeof(double)), 0);
-            EXPECT_EQ(std::memcmp(got.p.data(), want.p.data(),
-                                  want.p.size() * sizeof(double)), 0);
+        SCOPED_TRACE(::testing::Message() << "log " << log_transform);
+        ASSERT_EQ(got.q.size(), want.q.size());
+        ASSERT_EQ(got.p.size(), want.p.size());
+        EXPECT_EQ(std::memcmp(got.q.data(), want.q.data(),
+                              want.q.size() * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(got.p.data(), want.p.data(),
+                              want.p.size() * sizeof(double)), 0);
 
-            ASSERT_EQ(out.rows(), rows - 4);
-            for (std::size_t r = 4; r < rows; ++r) {
-                const double scale =
-                    rowScale(ratings, r, log_transform);
-                for (std::size_t c = 0; c < cols; ++c) {
-                    const double y = kernels::dot(
-                        want.qRow(r), want.pRow(c), want.stride) * scale;
-                    const double expect = log_transform
-                        ? std::expm1(std::max(y, 0.0)) * 1e-4
-                        : std::max(y, 0.0);
-                    const double actual = out(r - 4, c);
-                    ASSERT_EQ(std::memcmp(&actual, &expect,
-                                          sizeof(double)), 0)
-                        << "cell (" << r << ", " << c << ")";
-                }
+        ASSERT_EQ(out.rows(), rows - 4);
+        for (std::size_t r = 4; r < rows; ++r) {
+            const double scale = rowScale(ratings, r, log_transform);
+            for (std::size_t c = 0; c < cols; ++c) {
+                const double y = kernels::dot(
+                    want.qRow(r), want.pRow(c), want.stride) * scale;
+                const double expect = log_transform
+                    ? std::expm1(std::max(y, 0.0)) * 1e-4
+                    : std::max(y, 0.0);
+                const double actual = out(r - 4, c);
+                ASSERT_EQ(std::memcmp(&actual, &expect,
+                                      sizeof(double)), 0)
+                    << "cell (" << r << ", " << c << ")";
             }
         }
     }

@@ -32,6 +32,7 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "config/job_config.hh"
+#include "core/cuttlesys.hh"
 #include "power/power_model.hh"
 #include "search/dds.hh"
 #include "../core/core_fixture.hh"
@@ -62,9 +63,9 @@ makeTraining(std::uint64_t seed, double lo, double hi)
 struct QuantumLoop
 {
     CfEngine bips{makeTraining(3, 0.5, 6.0), kLiveJobs,
-                  kNumJobConfigs};
+                  kNumJobConfigs, CuttleSysOptions().sgdBips};
     CfEngine power{makeTraining(5, 1.0, 3.5), kLiveJobs,
-                   kNumJobConfigs};
+                   kNumJobConfigs, CuttleSysOptions().sgdPower};
     Rng rng{83};
     ScratchArena arena;
     Matrix predBips, predPower;
@@ -79,10 +80,6 @@ struct QuantumLoop
 
     QuantumLoop()
     {
-        for (CfEngine *e : {&bips, &power}) {
-            e->options().threads = 4;
-            e->options().convergenceSamples = 512;
-        }
         for (std::size_t j = 0; j < kLiveJobs; ++j) {
             bips.observe(j, 0, rng.uniform(0.5, 6.0));
             bips.observe(j, kNumJobConfigs - 1,
